@@ -76,22 +76,19 @@ bench-smoke:
 		| $(GO) run ./cmd/benchjson -out BENCH_smoke.json
 	rm -f BENCH_smoke.json
 
-# shard-smoke runs a small fig4 slice sequentially, again on the sharded
-# engine with four run workers, and a third time with -speculate, printing
-# all three wall times. The conservative-vs-speculative contrast is
-# informational only — shared CI runners make wall-clock gating flaky —
-# but each leg itself is the smoke: the batched epoch loop under real
-# parallelism, the -shards and -speculate flag plumbing, and the
-# rounds/busy-shard/speculation telemetry lines all execute end to end.
-# -jobs 1 on every leg so run-level sharding is the only parallelism in
-# play and the contrasts mean something.
+# shard-smoke runs a small fig4 slice sequentially and again on the
+# sharded engine with four run workers, printing both wall times. The
+# timing contrast is informational only — shared CI runners make
+# wall-clock gating flaky — but the sharded leg itself is the smoke: the
+# batched epoch loop under real parallelism, the -shards flag plumbing,
+# and the rounds/busy-shard telemetry line all execute end to end.
+# -jobs 1 on both legs so run-level sharding is the only parallelism in
+# play and the contrast means something.
 shard-smoke:
 	@echo "== fig4 slice, sequential engine =="
 	time $(GO) run ./cmd/figures -scale small -fig 4 -jobs 1 -json=false -out shard-smoke-out
-	@echo "== fig4 slice, sharded engine (4 workers, conservative) =="
+	@echo "== fig4 slice, sharded engine (4 workers) =="
 	time $(GO) run ./cmd/figures -scale small -fig 4 -jobs 1 -shards 4 -json=false -out shard-smoke-out
-	@echo "== fig4 slice, sharded engine (4 workers, speculative) =="
-	time $(GO) run ./cmd/figures -scale small -fig 4 -jobs 1 -shards 4 -speculate -json=false -out shard-smoke-out
 	rm -rf shard-smoke-out
 
 # daemon-smoke boots the t2simd service daemon end to end: submit a small

@@ -26,6 +26,13 @@ import (
 
 func mean(ys []float64) float64 { return stats.Summarize(ys).Mean }
 
+// benchJobs pins the sweep pool of the figure benchmarks. The pool
+// otherwise sizes itself to GOMAXPROCS, and every worker builds its own
+// machine, so allocs/op would follow the host's core count instead of the
+// code. One worker also matches the host the committed BENCH_perf.json
+// allocation counts were measured on.
+const benchJobs = 1
+
 // simTotals accumulates a sweep's simulation telemetry across benchmark
 // iterations and reports it in units that survive hardware changes:
 // simulated cycles and simulated L2 line accesses retired per wallclock
@@ -43,9 +50,6 @@ type simTotals struct {
 	microEp    int64
 	stalls     int64
 	busyRounds int64
-	specEp     int64
-	specCommit int64
-	specRoll   int64
 
 	// Robustness telemetry (exp.Outcome's resilience counters plus directly
 	// observed watchdog trips). Zero on every fault-free sweep, so the
@@ -57,10 +61,13 @@ type simTotals struct {
 	cancelMS      float64
 }
 
-// run executes the experiment, folds its telemetry into the totals, and
-// returns the sweep's series.
-func (st *simTotals) run(e exp.Experiment) []stats.Series {
-	out := exp.MustRun(e)
+// run executes the experiment on benchJobs workers, folds its telemetry
+// into the totals, and returns the sweep's series.
+func (st *simTotals) run(b *testing.B, e exp.Experiment) []stats.Series {
+	out, err := exp.Runner{Jobs: benchJobs}.Run(e)
+	if err != nil {
+		b.Fatal(err)
+	}
 	st.fold(out)
 	return out.Series()
 }
@@ -86,9 +93,6 @@ func (st *simTotals) fold(out exp.Outcome) {
 	st.microEp += t.BatchedEpochs
 	st.stalls += t.Stalls
 	st.busyRounds += t.BusyRounds
-	st.specEp += t.SpecEpochs
-	st.specCommit += t.SpecCommits
-	st.specRoll += t.SpecRollbacks
 	st.retries += out.Retries
 	st.pointErrors += out.PointErrors
 	st.watchdogTrips += out.WatchdogTrips
@@ -127,16 +131,6 @@ func (st *simTotals) report(b *testing.B) {
 		if st.epochs > 0 {
 			b.ReportMetric(100*float64(st.busyRounds)/float64(st.shards*st.epochs), "busy-shard-%")
 		}
-		if st.specCommit > 0 || st.specRoll > 0 {
-			// Speculation telemetry (informational, never gated — like
-			// epoch-width): micro-epochs executed inside committed bursts per
-			// iteration, the fraction of bursts that validated, and rollbacks
-			// per wallclock second. Non-speculative sweeps attempt no bursts
-			// and report none of this, keeping their metric sets unchanged.
-			b.ReportMetric(float64(st.specEp)/float64(b.N), "spec-epochs")
-			b.ReportMetric(100*float64(st.specCommit)/float64(st.specCommit+st.specRoll), "spec-commit-%")
-			b.ReportMetric(float64(st.specRoll)/secs, "rollbacks/s")
-		}
 	}
 	if st.retries > 0 || st.pointErrors > 0 || st.watchdogTrips > 0 || st.cancelMS > 0 {
 		// Robustness telemetry, per iteration (deterministic counts): how
@@ -155,7 +149,7 @@ func BenchmarkFig2StreamTriadOffsets(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		r := bench.Fig2FromSeries(st.run(o.Fig2Exp()))
+		r := bench.Fig2FromSeries(st.run(b, o.Fig2Exp()))
 		hi := r.Triad[len(r.Triad)-1]
 		s := stats.Summarize(hi.Y)
 		b.ReportMetric(s.Min, "floor-GB/s")
@@ -171,7 +165,7 @@ func BenchmarkFig4VectorTriadAlignment(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		for _, s := range st.run(o.Fig4Exp()) {
+		for _, s := range st.run(b, o.Fig4Exp()) {
 			switch s.Name {
 			case "align8k":
 				b.ReportMetric(mean(s.Y), "worst-GB/s")
@@ -189,7 +183,7 @@ func BenchmarkFig5SegmentedOverhead(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		series := st.run(o.Fig5Exp(64))
+		series := st.run(b, o.Fig5Exp(64))
 		seg, plain := series[0], series[1]
 		n := seg.Len() - 1
 		b.ReportMetric((plain.Y[n]-seg.Y[n])/plain.Y[n]*100, "overhead-%")
@@ -203,7 +197,7 @@ func BenchmarkFig6Jacobi(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		for _, s := range st.run(o.Fig6Exp()) {
+		for _, s := range st.run(b, o.Fig6Exp()) {
 			switch s.Name {
 			case "64T":
 				b.ReportMetric(mean(s.Y), "opt-MLUPs")
@@ -219,16 +213,15 @@ func BenchmarkFig6Jacobi(b *testing.B) {
 // controller-domain sharded engine (parallel.go), tracking the sharded
 // trajectory — shards, epoch-width and barrier-stalls/s — next to the
 // sequential BenchmarkFig4VectorTriadAlignment so the engine's scaling is
-// recorded in BENCH_perf.json. The per-run worker budget shares cores
-// with the sweep pool (exp.ShardBudget), and the measured results are
-// invariant under it.
+// recorded in BENCH_perf.json. It runs one shard worker on the one sweep
+// worker, so allocs/op does not follow the host's core count; the
+// measured results are invariant under the worker count anyway.
 func BenchmarkFig4ShardedEngine(b *testing.B) {
 	o := bench.Small()
-	o.Shards = exp.ShardBudget(-1, 0)
-	o.Speculate = true // execution budget only: results identical, spec-* telemetry recorded
+	o.Shards = 1
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		st.run(o.Fig4Exp())
+		st.run(b, o.Fig4Exp())
 	}
 	st.report(b)
 }
@@ -239,11 +232,10 @@ func BenchmarkFig4ShardedEngine(b *testing.B) {
 // the only lever left.
 func BenchmarkFig6ShardedEngine(b *testing.B) {
 	o := bench.Small()
-	o.Shards = exp.ShardBudget(-1, 0)
-	o.Speculate = true
+	o.Shards = 1
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		st.run(o.Fig6Exp())
+		st.run(b, o.Fig6Exp())
 	}
 	st.report(b)
 }
@@ -254,7 +246,7 @@ func BenchmarkFig7LBM(b *testing.B) {
 	o := bench.Small()
 	var st simTotals
 	for i := 0; i < b.N; i++ {
-		for _, s := range st.run(o.Fig7Exp()) {
+		for _, s := range st.run(b, o.Fig7Exp()) {
 			if s.Name == "64T IvJK fused" {
 				sm := stats.Summarize(s.Y)
 				b.ReportMetric(sm.Max, "peak-MLUPs")

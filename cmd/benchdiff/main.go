@@ -24,13 +24,11 @@
 // The same applies to metrics present on only one side of a shared
 // benchmark (a newly reported unit, a retired one), and to the
 // informational metric set — epoch-width (configuration: a change means
-// the derivation moved or one side was measured relaxed) and the
-// speculation telemetry spec-epochs, spec-commit-% and rollbacks/s (how
-// the run was executed, never what it computed): each is reported as an
-// explicit informational line when it changes but never gated. On failure
-// the tool prints a per-benchmark delta table of every gated metric, with
-// the informational metrics appended as dimmed rows so they stay visible
-// without reading as regressions.
+// the derivation moved or one side was measured relaxed): it is reported
+// as an explicit informational line when it changes but never gated. On
+// failure the tool prints a per-benchmark delta table of every gated
+// metric, with the informational metrics appended as dimmed rows so they
+// stay visible without reading as regressions.
 //
 // Exit codes separate the failure classes so CI can react differently to
 // each (see doc.go for the repo-wide conventions — 0/1/2 follow them; 3
@@ -116,9 +114,6 @@ type infoDelta struct {
 // review-worthy. Order is the report order.
 var informationalMetrics = []struct{ name, note string }{
 	{"epoch-width", "trajectories may not be comparable"},
-	{"spec-epochs", "speculation telemetry"},
-	{"spec-commit-%", "speculation telemetry"},
-	{"rollbacks/s", "speculation telemetry"},
 }
 
 // dim wraps a report line in the ANSI faint attribute so informational
@@ -186,14 +181,11 @@ func compare(bd, fd doc, maxDrop, maxAllocGrowth, maxFFDrop float64, w io.Writer
 				fmt.Fprintf(w, "%-40s allocs/op  %12.0f -> %12.0f %s\n", n, balloc, falloc, status)
 			}
 		}
-		// Informational metrics are configuration and execution telemetry,
-		// not performance: epoch-width changes when the conservative
-		// derivation changes or a trajectory was measured relaxed
-		// (-epoch-width); the spec-* metrics describe how much of the run
-		// speculative bursts covered, which never changes a result byte.
-		// Either way the right reaction is review, not a red build, so a
-		// change is an explicit informational line and never a gated
-		// regression.
+		// Informational metrics are configuration, not performance:
+		// epoch-width changes when the conservative derivation changes or
+		// a trajectory was measured relaxed (-epoch-width). The right
+		// reaction is review, not a red build, so a change is an explicit
+		// informational line and never a gated regression.
 		for _, im := range informationalMetrics {
 			bv, bok := b[im.name]
 			fv, fok := f[im.name]

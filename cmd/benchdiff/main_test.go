@@ -154,51 +154,13 @@ func TestCompareEpochWidthInformational(t *testing.T) {
 	}
 }
 
-// TestCompareSpeculationInformational pins the speculation-telemetry
-// contract: spec-epochs, spec-commit-% and rollbacks/s describe how a run
-// was executed, never what it computed, so arbitrary changes — commit
-// rate collapsing, rollbacks appearing — are informational lines, never
-// gated regressions.
-func TestCompareSpeculationInformational(t *testing.T) {
-	base := bm(map[string]float64{
-		"accesses/s": 100, "spec-epochs": 50000, "spec-commit-%": 95, "rollbacks/s": 0,
-	})
-	fresh := bm(map[string]float64{
-		"accesses/s": 100, "spec-epochs": 100, "spec-commit-%": 5, "rollbacks/s": 900,
-	})
-	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("speculation telemetry change failed the gate:\n%s", sb.String())
-	}
-	out := sb.String()
-	for _, metric := range []string{"spec-epochs", "spec-commit-%", "rollbacks/s"} {
-		if !strings.Contains(out, metric) {
-			t.Errorf("report missing informational line for %q:\n%s", metric, out)
-		}
-	}
-	if !strings.Contains(out, "never gated") {
-		t.Errorf("speculation lines not marked never-gated:\n%s", out)
-	}
-
-	same := bm(map[string]float64{
-		"accesses/s": 100, "spec-epochs": 50000, "spec-commit-%": 95, "rollbacks/s": 0,
-	})
-	sb.Reset()
-	if compare(base, same, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("identical speculation telemetry failed the gate:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "spec-") {
-		t.Errorf("unchanged speculation telemetry produced report lines:\n%s", sb.String())
-	}
-}
-
 // TestDeltaTableShowsInformationalDimmed is the regression for the delta
 // table silently dropping informational metrics: on a gated failure the
 // table must carry the informational metrics as dimmed (ANSI faint) rows
 // next to the gated columns.
 func TestDeltaTableShowsInformationalDimmed(t *testing.T) {
-	base := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3, "spec-commit-%": 90})
-	fresh := bm(map[string]float64{"accesses/s": 50, "epoch-width": 3, "spec-commit-%": 40})
+	base := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3})
+	fresh := bm(map[string]float64{"accesses/s": 50, "epoch-width": 3})
 	var sb strings.Builder
 	if !compare(base, fresh, 0.20, 0.02, 5, &sb) {
 		t.Fatal("50% throughput drop passed the gate")
@@ -209,10 +171,8 @@ func TestDeltaTableShowsInformationalDimmed(t *testing.T) {
 		t.Fatalf("no delta table in failure output:\n%s", out)
 	}
 	table := out[tableAt:]
-	for _, want := range []string{"epoch-width", "spec-commit-%"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("delta table dropped informational metric %q:\n%s", want, table)
-		}
+	if !strings.Contains(table, "epoch-width") {
+		t.Errorf("delta table dropped informational metric epoch-width:\n%s", table)
 	}
 	if !strings.Contains(table, "\x1b[2m") || !strings.Contains(table, "\x1b[0m") {
 		t.Errorf("informational rows in the delta table are not dimmed:\n%q", table)

@@ -13,7 +13,7 @@
 //
 //	figures [-fig all|2|4|5|6|7|scaling|comma-list] [-scale full|small]
 //	        [-machine NAME] [-jobs N] [-shards N] [-timeout DUR]
-//	        [-epoch-width N [-relaxed-ok]] [-epoch-batch=false] [-speculate]
+//	        [-epoch-width N [-relaxed-ok]]
 //	        [-json=false] [-out DIR] [-cpuprofile FILE] [-memprofile FILE]
 //	figures -list
 //
@@ -32,12 +32,7 @@
 // the machine's conservative bound run relaxed wide epochs, which are
 // deterministic but trade bounded timing drift for speed and therefore
 // must not silently enter JSON trajectories — combining a relaxed width
-// with -json requires the explicit -relaxed-ok. -epoch-batch=false selects
-// the engine's classic rendezvous-per-epoch loop (byte-identical results,
-// only slower), mainly for differential measurements. -speculate turns on
-// the batched loop's optimistic speculative bursts (requires -shards and
-// is incompatible with -epoch-batch=false): a pure execution budget that
-// never changes a result byte, so trajectories need no opt-in.
+// with -json requires the explicit -relaxed-ok.
 //
 // -machine reruns the sweeps on another profile from the internal/machine
 // registry; the profile name is stamped into the JSON trajectories. The
@@ -85,8 +80,6 @@ func main() {
 	shards := flag.Int("shards", 0, "run each point on the controller-domain sharded engine with up to N workers (0: sequential engine, -1: auto — share GOMAXPROCS with -jobs); results are invariant under N")
 	epochWidth := flag.Int64("epoch-width", 0, "override the sharded engine's epoch width in cycles (0: conservative bound; wider values run relaxed epochs whose results differ — see -relaxed-ok)")
 	relaxedOK := flag.Bool("relaxed-ok", false, "allow -json trajectories from a relaxed -epoch-width run (they are NOT comparable to conservative trajectories)")
-	epochBatch := flag.Bool("epoch-batch", true, "use the sharded engine's batched epoch loop (false: classic rendezvous-per-epoch loop; results are byte-identical either way)")
-	speculate := flag.Bool("speculate", false, "run the sharded engine with optimistic speculative bursts (requires -shards and the batched loop; results are byte-identical on or off)")
 	jsonOut := flag.Bool("json", true, "also write BENCH_<fig>.json trajectories")
 	out := flag.String("out", "figures-out", "output directory for CSV/JSON files")
 	list := flag.Bool("list", false, "print the figure and machine-profile registries and exit")
@@ -136,20 +129,6 @@ func main() {
 	// sweep jobs each sharded run gets GOMAXPROCS/J workers at most.
 	o.Shards = exp.ShardBudget(*shards, *jobs)
 	o.EpochWidth = *epochWidth
-	o.NoBatch = !*epochBatch
-	o.Speculate = *speculate
-	// Speculation is a pure execution budget for the sharded batched loop:
-	// it never changes a result byte, but it needs both prerequisites.
-	if *speculate {
-		if *shards == 0 {
-			fmt.Fprintln(os.Stderr, "figures: -speculate only applies to the sharded engine; set -shards too")
-			fail(2)
-		}
-		if !*epochBatch {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", chip.ErrSpeculateNoBatch)
-			fail(2)
-		}
-	}
 	// Relaxed wide epochs trade timing fidelity for speed; their results are
 	// deterministic but NOT comparable to conservative trajectories, so
 	// writing BENCH_*.json from a relaxed run needs an explicit opt-in.
@@ -240,11 +219,6 @@ func main() {
 			}
 			fmt.Printf("   sharded engine: %d domains, %d run workers, width %d, %d rounds (%d micro-epochs), %.1f%% busy shards\n",
 				t.Shards, workers, t.Width, t.Epochs, t.BatchedEpochs, t.BusyShardPct())
-			if t.SpecCommits > 0 || t.SpecRollbacks > 0 {
-				fmt.Printf("   speculation: %d bursts committed, %d rolled back (%.1f%% commit), %d micro-epochs speculative\n",
-					t.SpecCommits, t.SpecRollbacks,
-					100*float64(t.SpecCommits)/float64(t.SpecCommits+t.SpecRollbacks), t.SpecEpochs)
-			}
 		}
 		if outcome.Retries > 0 || outcome.PointErrors > 0 {
 			fmt.Printf("   resilience: %d retries, %d point errors, %d watchdog trips\n",

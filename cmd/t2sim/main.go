@@ -91,8 +91,6 @@ func main() {
 	shards := flag.Int("shards", 0, "run on the controller-domain sharded engine with up to N workers (0: sequential engine, -1: auto); results are invariant under N")
 	epochWidth := flag.Int64("epoch-width", 0, "override the sharded engine's epoch width in cycles (0: conservative bound; wider values run relaxed epochs whose results differ — see -relaxed-ok)")
 	relaxedOK := flag.Bool("relaxed-ok", false, "allow -json trajectories from a relaxed -epoch-width run (they are NOT comparable to conservative trajectories)")
-	epochBatch := flag.Bool("epoch-batch", true, "use the sharded engine's batched epoch loop (false: classic rendezvous-per-epoch loop; results are byte-identical either way)")
-	speculate := flag.Bool("speculate", false, "run the sharded engine with optimistic speculative bursts (requires -shards and the batched loop; results are byte-identical on or off)")
 	jsonOut := flag.String("json", "", "with -sweep: write the JSON trajectory to this file ('-' for stdout)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run or sweep; on expiry the simulation aborts cooperatively and the exit code is 3 (0: no deadline)")
 	flag.Parse()
@@ -111,15 +109,7 @@ func main() {
 		fail("%v: -shards %d, machine %q has %d controller domains",
 			chip.ErrShardOversubscribed, *shards, prof.Name, d)
 	}
-	sopt := chip.ShardOptions{EpochWidth: *epochWidth, NoBatch: !*epochBatch, Speculate: *speculate}
-	if *speculate {
-		if *shards == 0 {
-			fail("-speculate only applies to the sharded engine; set -shards too")
-		}
-		if !*epochBatch {
-			fail("%v", chip.ErrSpeculateNoBatch)
-		}
-	}
+	sopt := chip.ShardOptions{EpochWidth: *epochWidth}
 	if *epochWidth != 0 {
 		if *shards == 0 {
 			fail("-epoch-width only applies to the sharded engine; set -shards too")
@@ -282,11 +272,6 @@ func runSingle(ctx context.Context, prof machine.Profile, cfg chip.Config, p par
 	if r.Shards > 0 {
 		fmt.Printf("engine:    sharded — %d controller domains, epoch width %d cycles, %d rounds (%d micro-epochs), %.1f%% busy shards\n",
 			r.Shards, r.EpochWidth, r.Epochs, r.BatchedEpochs, r.BusyShardPct)
-		if r.SpecCommits > 0 || r.SpecRollbacks > 0 {
-			fmt.Printf("engine:    speculation — %d bursts committed, %d rolled back (%.1f%% commit), %d micro-epochs speculative\n",
-				r.SpecCommits, r.SpecRollbacks,
-				100*float64(r.SpecCommits)/float64(r.SpecCommits+r.SpecRollbacks), r.SpecEpochs)
-		}
 	} else if sopt.Workers != 0 {
 		fmt.Printf("engine:    sequential (sharded engine requested but the run is not decomposable)\n")
 	}

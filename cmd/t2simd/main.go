@@ -26,11 +26,8 @@
 //
 // Endpoints: POST /v1/sweep (body: service.SweepRequest JSON; response:
 // the canonical trajectory), GET /healthz, GET /readyz, GET /metrics.
-// The request's "speculate" field (requires "shards") runs the sweep with
-// the sharded engine's optimistic speculative bursts — execution budget
-// only, like "jobs" and "timeout_ms": it never changes a response byte,
-// is excluded from the cache fingerprint, and therefore shares cache
-// entries and coalesces with conservative requests for the same sweep.
+// A request with a field the server does not know, such as the retired
+// "speculate", is rejected with 400 rather than silently ignored.
 // HTTP statuses: 200 served, 400 validation, 429 queue full (Retry-After),
 // 499 client closed request, 503 saturated or draining (Retry-After),
 // 504 deadline exceeded, 500 internal.

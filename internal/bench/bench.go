@@ -63,17 +63,6 @@ type Options struct {
 	// differ from conservative ones and must never be mixed into
 	// byte-identity trajectories (the CLIs gate this behind -relaxed-ok).
 	EpochWidth int64
-	// NoBatch selects the sharded engine's classic rendezvous-per-epoch
-	// loop instead of the default batched one. Simulation output is
-	// byte-identical either way; the switch exists for differential tests
-	// and measurements.
-	NoBatch bool
-	// Speculate turns on the sharded engine's optimistic speculative
-	// bursts (chip.ShardOptions.Speculate). Pure execution budget:
-	// simulation output — and therefore every trajectory — is
-	// byte-identical with it on or off; only wall-clock and the spec-*
-	// telemetry change. Requires the batched loop and Shards > 0.
-	Speculate bool
 
 	// Fig. 2
 	StreamN      int64
@@ -205,8 +194,6 @@ func (o Options) runProg(cfg chip.Config, sc *exp.Scratch, p *trace.Program, war
 			Workers:    workers,
 			Watchdog:   o.Watchdog,
 			EpochWidth: o.EpochWidth,
-			NoBatch:    o.NoBatch,
-			Speculate:  o.Speculate,
 		})
 	}
 	return m.RunCtx(sc.Context(), p)
@@ -240,9 +227,6 @@ func measured(res exp.Result, r chip.Result) exp.Result {
 	res.BatchedEpochs = r.BatchedEpochs
 	res.BarrierStalls = r.BarrierStalls
 	res.BusyShardRounds = r.BusyShardRounds
-	res.SpecEpochs = r.SpecEpochs
-	res.SpecCommits = r.SpecCommits
-	res.SpecRollbacks = r.SpecRollbacks
 	return res
 }
 

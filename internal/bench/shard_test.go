@@ -59,84 +59,6 @@ func TestShardDeterminismAcrossProfiles(t *testing.T) {
 	}
 }
 
-// TestShardedBatchingJSONIdentity pins the tentpole invariant at the
-// trajectory level: the batched epoch loop (the default) and the classic
-// rendezvous-per-epoch loop must produce byte-identical BENCH JSON for
-// fig2, fig4 and fig6 at every shard-worker count. The chip-level equivalence
-// test covers Result structs on synthetic programs; this one covers the
-// real figure sweeps end to end, including the stats maps that feed the
-// committed trajectories.
-func TestShardedBatchingJSONIdentity(t *testing.T) {
-	prof, err := machine.Get(machine.DefaultName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardCounts := []int{1, 2, 4}
-	if testing.Short() {
-		shardCounts = []int{2} // the -race -short CI leg; full tier restores {1, 2, 4}
-	}
-	figOptions := func() Options {
-		o := shardTestOptions(prof)
-		o.JacobiNs = []int64{128}
-		o.JacobiThreads = []int{8}
-		return o
-	}
-	for _, fig := range []string{"fig2", "fig4", "fig6"} {
-		for _, shards := range shardCounts {
-			o := figOptions()
-			o.Shards = shards
-			batched := mustJSON(t, o, fig)
-			o.NoBatch = true
-			classic := mustJSON(t, o, fig)
-			if string(batched) != string(classic) {
-				t.Errorf("%s shards=%d: batched trajectory differs from classic loop (%d vs %d bytes)",
-					fig, shards, len(batched), len(classic))
-			}
-		}
-	}
-}
-
-// TestSpeculativeJSONIdentity pins the speculation contract at the
-// trajectory level: speculative execution is an execution budget only, so
-// fig2, fig4 and fig6 BENCH JSON must be byte-identical with -speculate on
-// or off, at every shard-worker count, across structurally distinct
-// machine profiles (1, 4 and 8 controller domains, XOR interleave). Runs
-// in the -short tier and under -race like the other identity gates.
-func TestSpeculativeJSONIdentity(t *testing.T) {
-	shardCounts := []int{1, 2, 4}
-	if testing.Short() {
-		shardCounts = []int{2} // the -race -short CI leg; full tier restores {1, 2, 4}
-	}
-	profiles := []string{"t2", "t2-1mc", "mc8", "xor"}
-	for _, name := range profiles {
-		prof, err := machine.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			figs := []string{"fig2", "fig4"}
-			if name == "t2" {
-				figs = append(figs, "fig6")
-			}
-			for _, fig := range figs {
-				for _, shards := range shardCounts {
-					o := shardTestOptions(prof)
-					o.JacobiNs = []int64{128}
-					o.JacobiThreads = []int{8}
-					o.Shards = shards
-					conservative := mustJSON(t, o, fig)
-					o.Speculate = true
-					speculative := mustJSON(t, o, fig)
-					if string(speculative) != string(conservative) {
-						t.Errorf("%s shards=%d: speculative trajectory differs from conservative (%d vs %d bytes)",
-							fig, shards, len(speculative), len(conservative))
-					}
-				}
-			}
-		})
-	}
-}
-
 // mustJSON runs one figure experiment on a two-job pool and returns its
 // canonical JSON, asserting that the sharded engine actually engaged.
 func mustJSON(t *testing.T, o Options, fig string) []byte {

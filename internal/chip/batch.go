@@ -1,39 +1,29 @@
-// Batched epoch synchronization: the default execution mode of the
-// controller-domain sharded engine.
+// Batched epoch synchronization: the epoch loop of the controller-domain
+// sharded engine.
 //
-// The classic loop (parallel.go, ShardOptions.NoBatch) rendezvouses every
-// epoch: two full spin barriers plus a serial merge on worker 0, with every
-// other worker parked. At W = 3-cycle epochs that is hundreds of millions
-// of rendezvous per figure run, and the serial merge — global run-ahead
-// minimum, parked wakes, termination scan, epoch skip — is a sequential
-// section Amdahl charges against every worker.
-//
-// The batched loop removes the rendezvous entirely. Each worker, after
-// running its own shards' epoch, publishes a five-field aggregate of its
-// shards (run-ahead local minimum, parked minimum, earliest pending event,
-// pending count, running strands) into a generation-stamped slot, then
-// reads every other worker's slot for the same epoch and computes the
-// global boundary decision — wake eligibility, termination, the empty-epoch
-// skip — redundantly and identically. No worker ever waits for more than
-// the slowest worker's epoch; there is no serial section and no barrier.
-// Workers apply the boundary (global-minimum refresh, parked wakes,
-// generation flip, new epoch cursor) to their own shards only, so all
-// shard state keeps single-writer discipline.
+// The loop has no rendezvous. Each worker, after running its own shards'
+// epoch, publishes a five-field aggregate of its shards (run-ahead local
+// minimum, parked minimum, earliest pending event, pending count, running
+// strands) into a generation-stamped slot, then reads every other worker's
+// slot for the same epoch and computes the global boundary decision — wake
+// eligibility, termination, the empty-epoch skip — redundantly and
+// identically. No worker ever waits for more than the slowest worker's
+// epoch; there is no serial section and no barrier. Workers apply the
+// boundary (global-minimum refresh, parked wakes, generation flip, new
+// epoch cursor) to their own shards only, so all shard state keeps
+// single-writer discipline.
 //
 // Correctness of the redundant decision: every input to the boundary is a
 // pure function of shard state at the epoch's end, partitioned by owner and
 // folded with associative, commutative operators (min, sum), so every
-// worker computes the same values the classic serial merge would have. The
-// one asymmetry is wakes: the classic merge wakes parked strands before
-// scanning pending events, so a wake both blocks termination and pins the
-// earliest event to the epoch boundary (skip = 0). The published aggregates
-// are computed before any wake, so the boundary decision reconstructs the
-// wake's effect symbolically: anyWake (some parked strand's item count is
-// within the run-ahead window of the new global minimum) forces
-// "not done" and "no skip" — exactly the two consequences the eager wake
-// had. Everything else is unchanged, so the two loops execute the same
-// micro-epochs in the same per-shard order and produce byte-identical
-// Results (pinned by TestShardedBatchingEquivalence).
+// worker computes the same values a serial fold over all shards would, and
+// the result is independent of the worker count. Wakes need one extra
+// step: a wake both blocks termination and pins the earliest event to the
+// epoch boundary (skip = 0), but the published aggregates are computed
+// before any wake. The boundary decision therefore reconstructs the wake's
+// effect symbolically: anyWake (some parked strand's item count is within
+// the run-ahead window of the new global minimum) forces "not done" and
+// "no skip".
 //
 // Memory safety rests on the publication sequence numbers. Slots are
 // double-buffered by epoch parity; a worker could only overwrite a slot
@@ -46,14 +36,13 @@
 // which happens before the consumer's seq load, which happens before the
 // consumer's epoch-(e+1) drain.
 //
-// Telemetry: with no per-epoch rendezvous, "one epoch" stops being the
-// natural unit of synchronization cost. The loop groups micro-epochs into
-// rounds of batchRound and reports rounds as Result.Epochs (the number of
-// bookkeeping beats, the closest analogue of the classic loop's merges),
-// micro-epochs as Result.BatchedEpochs, and per-shard activity per round as
-// BusyShardRounds/BusyShardPct — a shard that stepped at least once in a
-// round was pulling its weight at the only granularity the batched loop
-// synchronizes on.
+// Telemetry: with no per-epoch rendezvous, "one epoch" is not the natural
+// unit of synchronization cost. The loop groups micro-epochs into rounds
+// of batchRound and reports rounds as Result.Epochs (the number of
+// bookkeeping beats), micro-epochs as Result.BatchedEpochs, and per-shard
+// activity per round as BusyShardRounds/BusyShardPct — a shard that
+// stepped at least once in a round was pulling its weight at the only
+// granularity the loop synchronizes on.
 package chip
 
 import (
@@ -93,9 +82,8 @@ type wpub struct {
 }
 
 // waitFor spins until this record publishes epoch e or an abort is
-// observed, reporting false on abort. Mirrors spinBarrier.wait: a short
-// pure-load spin, then abort polls and scheduler yields so GOMAXPROCS=1
-// still makes progress.
+// observed, reporting false on abort: a short pure-load spin, then abort
+// polls and scheduler yields so GOMAXPROCS=1 still makes progress.
 func (p *wpub) waitFor(e int64, abort *atomic.Int32) bool {
 	for i := 0; p.seq.Load() < e; i++ {
 		if i > 128 {
@@ -154,10 +142,10 @@ func (a *epochAgg) fold(s *wslot) {
 	a.running += s.running.Load()
 }
 
-// runBatched drives the batched epoch loop with the same worker topology as
-// the classic loop: shard i belongs to worker i%workers, worker 0 runs on
-// the calling goroutine (so the deadlock panic propagates to the caller),
-// and a watchdog abort abandons the wait for wedged workers.
+// runBatched drives the batched epoch loop. Shards are partitioned
+// statically (shard i belongs to worker i%workers), worker 0 runs on the
+// calling goroutine (so the deadlock panic propagates to the caller), and
+// a watchdog abort abandons the wait for wedged workers.
 func (ps *parState) runBatched(workers int) {
 	if workers <= 1 {
 		ps.batchedLoop(0, 1, nil)
@@ -177,8 +165,11 @@ func (ps *parState) runBatched(workers int) {
 	}
 	ps.batchedLoop(0, workers, pubs)
 	if ps.abort.Load() == abortWatchdog {
-		// Same contract as the classic loop: a wedged worker may block
-		// forever, so the caller abandons the run state instead of waiting.
+		// A watchdog trip means at least one worker is wedged mid-epoch and
+		// may block forever; waiting for it would reintroduce the hang the
+		// watchdog exists to break, so the caller abandons the run state
+		// (RunShardedCtx drops the parState) and each worker exits at its
+		// next abort poll.
 		return
 	}
 	wg.Wait()
@@ -244,8 +235,8 @@ func (ps *parState) batchedLoop(w, workers int, pubs []wpub) {
 		}
 
 		// The global boundary decision, identical on every worker. anyWake
-		// reconstructs the classic merge's eager wake: a wake blocks
-		// termination and pins the earliest event to the epoch boundary.
+		// stands in for the wakes applied below: a wake blocks termination
+		// and pins the earliest event to the epoch boundary.
 		gm := a.localMin
 		anyWake := ps.runAhead > 0 && gm >= 0 && a.parkMin >= 0 && a.parkMin-gm < ps.runAhead
 		if a.pending == 0 && !anyWake {
@@ -283,9 +274,8 @@ func (ps *parState) batchedLoop(w, workers int, pubs []wpub) {
 
 // boundary applies one epoch boundary to a shard the calling worker owns:
 // refresh the shard's copy of the global run-ahead minimum, wake eligible
-// parked strands at the just-finished epoch's end (the same time the
-// classic merge uses), retire the delivered mailbox generation and advance
-// the epoch cursor.
+// parked strands at the just-finished epoch's end, retire the delivered
+// mailbox generation and advance the epoch cursor.
 func (ps *parState) boundary(sh *pshard, gm int64, end, newEnd sim.Time) {
 	if ps.runAhead > 0 {
 		sh.gmin = gm

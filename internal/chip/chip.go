@@ -127,21 +127,11 @@ type Result struct {
 	// is an execution detail that must not change a single result byte.
 	Shards          int64   // controller domains the run was partitioned into
 	EpochWidth      int64   // epoch width in cycles (conservative bound, or the relaxed override)
-	Epochs          int64   // synchronization rounds: serial merges (classic loop) or batched rounds
-	BatchedEpochs   int64   // micro-epochs executed (== Epochs under the classic loop)
+	Epochs          int64   // bookkeeping rounds of the batched epoch loop
+	BatchedEpochs   int64   // micro-epochs executed
 	BarrierStalls   int64   // (shard, micro-epoch) pairs where a shard had no event to run
 	BusyShardRounds int64   // (shard, round) pairs where the shard executed at least one event
 	BusyShardPct    float64 // 100 * BusyShardRounds / (Shards * Epochs)
-
-	// Speculation telemetry (see speculate.go), zero unless
-	// ShardOptions.Speculate. Deterministic and worker-invariant like the
-	// fields above: every burst decision folds machine-wide aggregates.
-	// Simulation results are byte-identical with speculation on or off;
-	// these counters (and the loop telemetry above) are the only fields
-	// that may differ between the two modes.
-	SpecEpochs    int64 // micro-epochs executed inside committed bursts
-	SpecCommits   int64 // speculative bursts that validated and committed
-	SpecRollbacks int64 // speculative bursts rolled back and re-executed
 }
 
 // Balance returns min/max controller utilization, the paper's notion of

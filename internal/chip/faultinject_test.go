@@ -80,78 +80,6 @@ func TestInjectedShardStallTripsWatchdog(t *testing.T) {
 	}
 }
 
-// TestInjectedSpecRollbackStorm fails every speculative burst validation
-// (SpecConflictEvery: 1), so each burst rolls every shard back to its
-// checkpoint and re-executes conservatively until the throttle collapses
-// speculation to sticky-off: depth 8 → 4 → 2, then four min-depth strikes
-// — at most six rollbacks, zero commits. The recovery proof is that the
-// storm is invisible in the results: byte-identical to the conservative
-// run at every worker count, under -race.
-func TestInjectedSpecRollbackStorm(t *testing.T) {
-	cfg := t2cfg()
-	cfg.RunAhead = 0 // mail-free workload + no parking: a burst attempt at every boundary
-	m := New(cfg)
-	ref, err := m.RunShardedCtx(context.Background(), computeProg(16, 400), ShardOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faults.Arm(&faults.Plan{Seed: 4, SpecConflictEvery: 1})
-	defer faults.Disarm()
-	for _, workers := range []int{1, 2, 4} {
-		storm, err := m.RunShardedCtx(context.Background(), computeProg(16, 400),
-			ShardOptions{Workers: workers, Speculate: true})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if storm.SpecCommits != 0 {
-			t.Fatalf("workers=%d: %d bursts committed with every validation vetoed", workers, storm.SpecCommits)
-		}
-		if storm.SpecRollbacks == 0 || storm.SpecRollbacks > 6 {
-			t.Fatalf("workers=%d: SpecRollbacks = %d, want 1..6 (throttle must collapse: 8→4→2, then %d strikes)",
-				workers, storm.SpecRollbacks, specMaxStrikes)
-		}
-		if g, w := specNorm(storm), specNorm(ref); !reflect.DeepEqual(g, w) {
-			t.Fatalf("workers=%d: rollback storm changed the result:\n got  %+v\n want %+v", workers, g, w)
-		}
-	}
-	if st := faults.Stats(); st.SpecConflicts == 0 {
-		t.Fatal("no conflicts injected; the rollback path never ran")
-	}
-}
-
-// TestInjectedSpecMixedConflicts fails every third burst (ordinals 0, 3,
-// 6, ...), interleaving commits and rollbacks so the throttle oscillates
-// — the path where a committed burst's state survives a later rollback's
-// restore. Results must stay byte-identical to the conservative run.
-func TestInjectedSpecMixedConflicts(t *testing.T) {
-	cfg := t2cfg()
-	cfg.RunAhead = 0
-	m := New(cfg)
-	ref, err := m.RunShardedCtx(context.Background(), computeProg(16, 400), ShardOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faults.Arm(&faults.Plan{Seed: 5, SpecConflictEvery: 3})
-	defer faults.Disarm()
-	mixed, err := m.RunShardedCtx(context.Background(), computeProg(16, 400),
-		ShardOptions{Workers: 2, Speculate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed.SpecCommits == 0 || mixed.SpecRollbacks == 0 {
-		t.Fatalf("want interleaved commits and rollbacks, got commits=%d rollbacks=%d",
-			mixed.SpecCommits, mixed.SpecRollbacks)
-	}
-	if g, w := specNorm(mixed), specNorm(ref); !reflect.DeepEqual(g, w) {
-		t.Fatalf("mixed conflicts changed the result:\n got  %+v\n want %+v", g, w)
-	}
-	if st := faults.Stats(); st.SpecConflicts == 0 {
-		t.Fatal("no conflicts injected")
-	}
-}
-
 // TestInjectedStepCancel halts the sequential engine at a seed-derived
 // event step — the deterministic stand-in for "context cancelled at a
 // randomized engine step" — and asserts the clean-abort contract: a

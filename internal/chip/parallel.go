@@ -81,7 +81,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,15 +135,6 @@ type pstrand struct {
 	sb     []sim.Time // store-buffer ring: completion times of posted fills
 	sbPos  int
 	t      sim.Time // strand-local time: issue point of the in-flight access
-
-	// Generator replay log (speculate.go): items pulled during a
-	// speculative burst, deep-copied so a rollback can replay them instead
-	// of rewinding the generator. replayPos is the consumption cursor —
-	// the only part of the log a rollback touches — and replayEnd latches
-	// generator exhaustion across rollbacks.
-	replay    []trace.Item
-	replayPos int
-	replayEnd bool
 }
 
 // reqProbe is a NACKed request's cached tag probe, valid while its set's
@@ -165,9 +155,10 @@ type pshard struct {
 	// Mailboxes, double-buffered by epoch generation: during an epoch the
 	// shard appends to out[gen][dst] while every destination drains the
 	// previous generation's boxes, so production and delivery never touch
-	// the same slice in the same phase. The merge step flips the
+	// the same slice in the same phase. The epoch boundary flips the
 	// generation. outCount and outMin summarize each generation's
-	// undelivered mail for the merge's termination and skip-ahead logic.
+	// undelivered mail for the boundary's termination and skip-ahead
+	// logic.
 	out      [2][][]shardMsg
 	outCount [2]int
 	outMin   [2]sim.Time
@@ -195,9 +186,9 @@ type pshard struct {
 
 	// Per-shard copies of the global epoch cursor state. Every shard holds
 	// the same values at all times — the owning worker updates them at each
-	// epoch boundary (batched loop) or the serial merge updates them all
-	// (classic loop) — so the hot paths (send clamps, window checks, the
-	// wheel's run horizon) read shard-owned state and never race.
+	// epoch boundary (batch.go) — so the hot paths (send clamps, window
+	// checks, the wheel's run horizon) read shard-owned state and never
+	// race.
 	gen      int      // mailbox generation being produced this epoch
 	epochEnd sim.Time // end (exclusive) of the epoch being executed
 	gmin     int64    // run-ahead global minimum of the last boundary; -1 once all retired
@@ -214,12 +205,6 @@ type pshard struct {
 	epochsRun    int64  // epochs this shard has executed (watchdog/fault bookkeeping)
 	busyRounds   int64  // batched rounds in which this shard executed at least one event
 	stepsMark    uint64 // eng.Steps() at the last round boundary (busyRounds bookkeeping)
-
-	// Speculation state (speculate.go): the burst-entry checkpoint, reused
-	// across bursts, and the replay-logging flag the item pull consults
-	// while a burst is in flight. Both are owned by the shard's worker.
-	ckpt    shardCkpt
-	specLog bool
 
 	// diag is the shard's progress snapshot, published (atomically, once
 	// per epoch, only on armed runs) for the watchdog's diagnostics: a
@@ -249,30 +234,21 @@ type parState struct {
 
 	runAhead int64
 
-	w       sim.Time // epoch width (conservative bound, or the relaxed override)
-	epochs  int64    // barrier rounds: serial merges (classic) or batched rounds
-	micro   int64    // epochs actually executed (= epochs when batching is off)
-	noBatch bool     // run the classic one-merge-per-epoch loop
-	spec    bool     // run the speculative loop (speculate.go)
-	done    bool
-
-	// Speculation telemetry, written by worker 0 at loop exit. All three
-	// are deterministic and worker-invariant: every burst decision is a
-	// pure function of folded machine-wide aggregates.
-	specEpochs    int64 // micro-epochs executed inside committed bursts
-	specCommits   int64 // bursts that validated and committed
-	specRollbacks int64 // bursts that failed validation and rolled back
+	w      sim.Time // epoch width (conservative bound, or the relaxed override)
+	epochs int64    // bookkeeping rounds of batchRound micro-epochs
+	micro  int64    // epochs actually executed
+	done   bool
 
 	// Abort protocol (armed runs only — see RunShardedCtx). abort makes a
 	// single transition away from abortNone, set by the monitor goroutine;
-	// workers poll it at the top of every epoch and the barrier polls it on
-	// its spin slow path, so every non-wedged worker exits within one
-	// epoch. armed additionally enables the per-shard diag publication;
+	// workers poll it at the top of every epoch and while waiting for
+	// another worker's publication, so every non-wedged worker exits
+	// within one epoch. armed additionally enables the per-shard diag publication;
 	// fault-free runs leave it false and pay one predictable atomic load
 	// per worker per epoch.
 	abort    atomic.Int32
 	armed    bool
-	progress atomic.Int64 // merged epoch count, stored by the leader each merge
+	progress atomic.Int64 // executed micro-epoch count, stored by worker 0 each epoch
 	wderr    atomic.Pointer[WatchdogError]
 }
 
@@ -395,9 +371,6 @@ func (m *Machine) RunShardedCtx(ctx context.Context, prog *trace.Program, opt Sh
 				ErrEpochWidthTooNarrow, opt.EpochWidth, w)
 		}
 	}
-	if opt.Speculate && opt.NoBatch {
-		return Result{}, ErrSpeculateNoBatch
-	}
 	if !m.Shardable(prog) {
 		return m.RunCtx(ctx, prog)
 	}
@@ -417,7 +390,7 @@ func (m *Machine) RunShardedCtx(ctx context.Context, prog *trace.Program, opt Sh
 		quit = make(chan struct{})
 		go ps.monitor(ctx, opt.Watchdog, quit, &firedAt)
 	}
-	ps.run(workers)
+	ps.runBatched(workers)
 	if quit != nil {
 		close(quit) // a no-op for the monitor if it already aborted and exited
 	}
@@ -493,18 +466,14 @@ func (m *Machine) preparePar(prog *trace.Program, opt ShardOptions) *parState {
 			sh.loadStall, sh.storeStall, sh.computeStall = 0, 0, 0
 			sh.retryStall, sh.retries = 0, 0
 			sh.finish, sh.idleEpochs = 0, 0
-			sh.specLog = false
 		}
 	}
-	// Per-run epoch parameters: the relaxed width override and the batching
-	// mode are run options, so a cached parState re-derives them each run.
+	// The relaxed width override is a run option, so a cached parState
+	// re-derives the epoch width each run.
 	ps.w = epochWidth(m.cfg)
 	if opt.EpochWidth != 0 {
 		ps.w = opt.EpochWidth
 	}
-	ps.noBatch = opt.NoBatch
-	ps.spec = opt.Speculate
-	ps.specEpochs, ps.specCommits, ps.specRollbacks = 0, 0, 0
 	for _, sh := range ps.shards {
 		sh.gen = 0
 		sh.epochEnd = ps.w
@@ -545,9 +514,6 @@ func (m *Machine) preparePar(prog *trace.Program, opt ShardOptions) *parState {
 		clear(s.sb)
 		s.sbPos = 0
 		s.t = 0
-		s.replay = s.replay[:0]
-		s.replayPos = 0
-		s.replayEnd = false
 		sh := ps.shards[s.home]
 		sh.strands = append(sh.strands, s.id)
 		sh.running++
@@ -592,19 +558,12 @@ func (ps *parState) collect(cfg Config, prog *trace.Program) Result {
 		res.RetryStall += sh.retryStall
 		res.Retries += sh.retries
 		res.BarrierStalls += sh.idleEpochs
-		if ps.noBatch {
-			busy += sh.epochsRun - sh.idleEpochs
-		} else {
-			busy += sh.busyRounds
-		}
+		busy += sh.busyRounds
 	}
 	res.BusyShardRounds = busy
 	if rounds := ps.epochs * int64(len(ps.shards)); rounds > 0 {
 		res.BusyShardPct = 100 * float64(busy) / float64(rounds)
 	}
-	res.SpecEpochs = ps.specEpochs
-	res.SpecCommits = ps.specCommits
-	res.SpecRollbacks = ps.specRollbacks
 	if cycles == 0 {
 		cycles = 1
 	}
@@ -636,83 +595,6 @@ func (ps *parState) collect(cfg Config, prog *trace.Program) Result {
 
 // ---- epoch loop ------------------------------------------------------------
 
-// run drives the epoch loop: deliver + run each shard, barrier, merge,
-// barrier, repeat. workers == 1 executes the identical schedule on the
-// calling goroutine; workers > 1 partitions shards statically
-// (shard i -> worker i%workers) and synchronizes with a spin barrier. The
-// two paths perform the same per-shard operations on disjoint state in the
-// same per-shard order, which is the byte-identity argument.
-func (ps *parState) run(workers int) {
-	if !ps.noBatch {
-		if ps.spec {
-			ps.runSpec(workers)
-			return
-		}
-		ps.runBatched(workers)
-		return
-	}
-	if workers <= 1 {
-		for !ps.done && ps.abort.Load() == abortNone {
-			for _, sh := range ps.shards {
-				sh.deliver()
-				sh.runEpoch()
-			}
-			ps.merge()
-		}
-		return
-	}
-	bar := &spinBarrier{n: int32(workers)}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ps.workerLoop(w, workers, bar)
-		}(w)
-	}
-	ps.workerLoop(0, workers, bar)
-	if ps.abort.Load() == abortWatchdog {
-		// A watchdog trip means at least one worker is wedged mid-epoch and
-		// may block indefinitely; waiting for it would reintroduce the hang
-		// the watchdog exists to break. The workers' shard state is
-		// abandoned by the caller (RunShardedCtx drops the parState), and
-		// each worker exits at its next abort poll.
-		return
-	}
-	wg.Wait()
-}
-
-// workerLoop is one worker's half of the barrier protocol. Worker 0 is the
-// leader and performs the serial merge between the two barriers. Any abort
-// observed — at the epoch boundary or inside a barrier spin — exits the
-// loop; the barrier cannot be re-entered after an abort, which is safe
-// because every worker is on its way out too.
-func (ps *parState) workerLoop(w, workers int, bar *spinBarrier) {
-	var sense uint32
-	for {
-		if ps.abort.Load() != abortNone {
-			return
-		}
-		for i := w; i < len(ps.shards); i += workers {
-			sh := ps.shards[i]
-			sh.deliver()
-			sh.runEpoch()
-		}
-		if !bar.wait(&sense, &ps.abort) {
-			return
-		}
-		if w == 0 {
-			ps.merge()
-		}
-		if !bar.wait(&sense, &ps.abort) {
-			return
-		}
-		if ps.done {
-			return
-		}
-	}
-}
-
 // runEpoch advances this shard's wheel to the end of the current epoch.
 func (sh *pshard) runEpoch() {
 	faults.ShardStall(int(sh.id), sh.epochsRun) // no-op unless injecting
@@ -733,7 +615,7 @@ func (sh *pshard) runEpoch() {
 // monitor is an armed run's supervisor goroutine: it aborts the epoch loop
 // when ctx is cancelled (recording the observation time for the
 // cancel-latency telemetry) and, with wd > 0, trips the watchdog when the
-// merged epoch count stops advancing for a full deadline — publishing the
+// executed epoch count stops advancing for a full deadline — publishing the
 // per-shard diagnostics first, so the abort's observer reads a complete
 // WatchdogError.
 func (ps *parState) monitor(ctx context.Context, wd time.Duration, quit <-chan struct{}, firedAt *atomic.Int64) {
@@ -808,117 +690,6 @@ func (sh *pshard) deliver() {
 	}
 }
 
-// merge is the serial barrier step: refresh the global run-ahead minimum
-// and wake eligible parked strands, detect termination or deadlock, and
-// pick the next epoch (skipping empty ones). It runs on one goroutine with
-// every worker parked at the barrier, and everything it computes is a
-// deterministic function of shard state in shard order.
-func (ps *parState) merge() {
-	ps.epochs++
-	ps.micro++
-	ps.progress.Store(ps.epochs) // watchdog heartbeat; readers are off-loop
-	end := ps.shards[0].epochEnd // every shard holds the same cursor
-	g := ps.shards[0].gen
-	if ps.runAhead > 0 {
-		gm := int64(-1)
-		for _, sh := range ps.shards {
-			if sh.localMin >= 0 && (gm < 0 || sh.localMin < gm) {
-				gm = sh.localMin
-			}
-		}
-		for _, sh := range ps.shards {
-			sh.gmin = gm
-			if len(sh.parked) == 0 {
-				continue
-			}
-			kept := sh.parked[:0]
-			pm := int64(-1)
-			for _, id := range sh.parked {
-				s := ps.strands[id]
-				if sh.overWindow(s) {
-					kept = append(kept, id)
-					if pm < 0 || s.items < pm {
-						pm = s.items
-					}
-					continue
-				}
-				s.parked = false
-				sh.eng.Schedule(end, evPStep, id)
-			}
-			sh.parked = kept
-			sh.parkMin = pm
-		}
-	}
-
-	pending := 0
-	var earliest sim.Time
-	has := false
-	running := 0
-	for _, sh := range ps.shards {
-		running += sh.running
-		pending += sh.eng.Pending() + sh.outCount[g]
-		if t, ok := sh.eng.PeekTime(); ok && (!has || t < earliest) {
-			earliest, has = t, true
-		}
-		if sh.outCount[g] > 0 && (!has || sh.outMin[g] < earliest) {
-			earliest, has = sh.outMin[g], true
-		}
-		// The previous generation was fully delivered during the epoch that
-		// just ran; its accounting resets here, in the serial step.
-		sh.outCount[g^1] = 0
-	}
-	if pending == 0 {
-		if running != 0 {
-			panic("chip: deadlock — strands left running with no events (sharded engine)")
-		}
-		ps.done = true
-		return
-	}
-	// Advance to the epoch containing the earliest pending event; skipping
-	// event-free epochs is a deterministic function of that timestamp.
-	start := end
-	if earliest > start {
-		start += (earliest - start) / ps.w * ps.w
-	}
-	for _, sh := range ps.shards {
-		sh.epochEnd = start + ps.w
-		sh.gen = g ^ 1
-	}
-}
-
-// spinBarrier is a sense-reversing barrier tuned for the short, frequent
-// epochs of the sharded engine: arrivals spin briefly on an atomic before
-// yielding, so a barrier among runnable workers costs well under a
-// microsecond and GOMAXPROCS=1 still makes progress through Gosched.
-type spinBarrier struct {
-	n     int32
-	count atomic.Int32
-	sense atomic.Uint32
-}
-
-// wait returns false when an abort was observed while spinning: the
-// barrier will never complete (some worker has already left the protocol),
-// so the caller must exit too. The abort poll lives on the yield slow path
-// only — the first 128 spins stay a pure load loop.
-func (b *spinBarrier) wait(sense *uint32, abort *atomic.Int32) bool {
-	s := *sense ^ 1
-	*sense = s
-	if b.count.Add(1) == b.n {
-		b.count.Store(0)
-		b.sense.Store(s)
-		return true
-	}
-	for i := 0; b.sense.Load() != s; i++ {
-		if i > 128 {
-			if abort.Load() != abortNone {
-				return false
-			}
-			runtime.Gosched()
-		}
-	}
-	return true
-}
-
 // ---- event handlers --------------------------------------------------------
 
 // handle dispatches this shard's typed events.
@@ -985,7 +756,7 @@ func (sh *pshard) advance(s *pstrand) {
 				return
 			}
 			s.item.Reset()
-			if !sh.nextItem(s) {
+			if !s.gen.Next(&s.item) {
 				sh.running--
 				sh.retire(s)
 				if t > sh.finish {

@@ -73,57 +73,6 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedBatchingEquivalence is the batched loop's core contract: the
-// decentralized boundary protocol (batch.go) executes exactly the same
-// micro-epochs in the same per-shard order as the classic
-// barrier-merge-barrier loop, so every simulation byte — and even the
-// micro-epoch and barrier-stall counts — must be identical with batching
-// on and off, at every worker count, on every topology. Only the
-// round-versus-merge bookkeeping (Epochs, BusyShard*) may differ.
-func TestShardedBatchingEquivalence(t *testing.T) {
-	for name, cfg := range shardedConfigs() {
-		t.Run(name, func(t *testing.T) {
-			m := New(cfg)
-			run := func(workers int, noBatch bool) Result {
-				if d := cfg.Mapping.Controllers(); workers > d {
-					workers = d
-				}
-				r, err := m.RunShardedCtx(context.Background(), marchingProg(16, 120),
-					ShardOptions{Workers: workers, NoBatch: noBatch})
-				if err != nil {
-					t.Fatalf("workers=%d noBatch=%v: %v", workers, noBatch, err)
-				}
-				if r.Shards == 0 {
-					t.Fatalf("workers=%d noBatch=%v unexpectedly fell back", workers, noBatch)
-				}
-				return r
-			}
-			ref := run(1, true)
-			if ref.Epochs != ref.BatchedEpochs {
-				t.Fatalf("classic loop: Epochs %d != BatchedEpochs %d", ref.Epochs, ref.BatchedEpochs)
-			}
-			norm := func(r Result) Result {
-				r.Epochs, r.BusyShardRounds, r.BusyShardPct = 0, 0, 0
-				return r
-			}
-			want := norm(ref)
-			for _, workers := range []int{1, 2, 4} {
-				for _, noBatch := range []bool{false, true} {
-					got := run(workers, noBatch)
-					if !noBatch && got.Epochs >= got.BatchedEpochs && got.BatchedEpochs > 1 {
-						t.Errorf("workers=%d: batched loop reports %d rounds for %d micro-epochs; rounds should be coarser",
-							workers, got.Epochs, got.BatchedEpochs)
-					}
-					if g := norm(got); !reflect.DeepEqual(g, want) {
-						t.Fatalf("workers=%d noBatch=%v diverged from classic workers=1:\n got  %+v\n want %+v",
-							workers, noBatch, g, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestShardedEpochWidthValidation pins the relaxed-width contract: widths
 // below the conservative bound are rejected up front, the bound itself is
 // accepted and behaves exactly like the default, and wider epochs stay
@@ -186,6 +135,9 @@ func TestShardedTelemetry(t *testing.T) {
 	}
 	if r.Epochs <= 0 {
 		t.Errorf("Epochs = %d, want > 0", r.Epochs)
+	}
+	if r.BatchedEpochs > 1 && r.Epochs >= r.BatchedEpochs {
+		t.Errorf("batched loop reports %d rounds for %d micro-epochs; rounds should be coarser", r.Epochs, r.BatchedEpochs)
 	}
 	if r.FFItems != 0 || r.FFCycles != 0 {
 		t.Errorf("sharded run reports fast-forward coverage (%d items, %d cycles); fast-forward must be disabled under sharding", r.FFItems, r.FFCycles)

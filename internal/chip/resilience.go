@@ -33,14 +33,6 @@ var ErrShardOversubscribed = errors.New("chip: shard workers exceed the machine'
 // rather than a stricter mode.
 var ErrEpochWidthTooNarrow = errors.New("chip: epoch width below the machine's conservative bound")
 
-// ErrSpeculateNoBatch is returned when ShardOptions requests speculation
-// together with the classic loop: the burst protocol is built on the
-// batched loop's published aggregates (the slot ring generalizes its
-// parity slots), so the classic one-merge-per-epoch loop has nothing for
-// the validator to read. The combination is a configuration error, not a
-// silent fallback.
-var ErrSpeculateNoBatch = errors.New("chip: speculation requires the batched epoch loop (incompatible with NoBatch)")
-
 // errStepBudget is the cancellation cause when an injected step budget
 // (faults.Plan.CancelStep), rather than the caller's context, halted the
 // engine.
@@ -117,22 +109,6 @@ type ShardOptions struct {
 	// deterministic and worker-invariant but differ from conservative ones;
 	// they must never be mixed into byte-identity trajectories.
 	EpochWidth sim.Time
-	// Speculate enables optimistic speculative epochs (speculate.go):
-	// shards checkpoint at boundaries whose epoch sent no cross-shard
-	// mail, run bursts of epochs with no exchange, validate at a single
-	// rendezvous and roll back on conflict. Simulation output is
-	// byte-identical with speculation on or off, at any worker count —
-	// only wall-clock time and loop telemetry (epoch counts, barrier
-	// stalls, the Spec* counters) change — so speculation is an execution
-	// budget, not part of any result's identity. Requires the batched
-	// loop; combining it with NoBatch is an ErrSpeculateNoBatch error.
-	Speculate bool
-	// NoBatch selects the classic loop: a full rendezvous (two spin
-	// barriers and a serial merge) per epoch instead of the decentralized
-	// batched exchange. Simulation output is byte-identical either way —
-	// the classic loop is retained as the reference the batched loop is
-	// differentially tested against, and as a fallback.
-	NoBatch bool
 }
 
 // cancelWatch couples a context (and, under fault injection, a

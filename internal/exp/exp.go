@@ -207,9 +207,6 @@ type Result struct {
 	BatchedEpochs   int64 `json:"-"` // micro-epochs executed (== Epochs without batching)
 	BarrierStalls   int64 `json:"-"`
 	BusyShardRounds int64 `json:"-"` // (shard, round) pairs that executed at least one event
-	SpecEpochs      int64 `json:"-"` // micro-epochs executed inside committed speculative bursts
-	SpecCommits     int64 `json:"-"` // speculative bursts that validated and committed
-	SpecRollbacks   int64 `json:"-"` // speculative bursts rolled back and re-executed
 }
 
 // Scratch is a per-worker reuse arena. Every point a worker evaluates
@@ -369,9 +366,6 @@ type ShardTotals struct {
 	BatchedEpochs int64 // micro-epochs executed
 	Stalls        int64 // (shard, micro-epoch) pairs with no local work
 	BusyRounds    int64 // (shard, round) pairs that executed at least one event
-	SpecEpochs    int64 // micro-epochs executed inside committed speculative bursts
-	SpecCommits   int64 // speculative bursts committed
-	SpecRollbacks int64 // speculative bursts rolled back
 }
 
 // BusyShardPct is the sweep-level busy-shard percentage: of all
@@ -398,9 +392,6 @@ func (o Outcome) ShardTotals() ShardTotals {
 		t.BatchedEpochs += pr.Result.BatchedEpochs
 		t.Stalls += pr.Result.BarrierStalls
 		t.BusyRounds += pr.Result.BusyShardRounds
-		t.SpecEpochs += pr.Result.SpecEpochs
-		t.SpecCommits += pr.Result.SpecCommits
-		t.SpecRollbacks += pr.Result.SpecRollbacks
 	}
 	return t
 }

@@ -64,19 +64,6 @@ type Plan struct {
 	StallFor   time.Duration
 	StallOnce  bool
 
-	// Speculation conflicts (hook: SpecConflict, called by the sharded
-	// engine's burst validator with the burst ordinal — commits plus
-	// rollbacks so far). A matching ordinal forces the burst's validation
-	// to fail, rolling every shard back to its checkpoint. Every worker
-	// calls the hook with the same ordinal and gets the same verdict, so
-	// injected conflicts preserve the engine's determinism. Ordinals >=
-	// SpecConflictFrom with (ordinal - SpecConflictFrom) divisible by
-	// SpecConflictEvery are injected; SpecConflictEvery == 0 injects
-	// nothing, SpecConflictEvery == 1 is a rollback storm: every burst
-	// fails until the throttle collapses speculation entirely.
-	SpecConflictFrom  int64
-	SpecConflictEvery int64
-
 	// CancelStep arms the sequential engine's deterministic step budget
 	// (hook: CancelStep → sim.Engine.StopAt): the run halts cooperatively
 	// at ~this event step, standing in for a context cancelled mid-run at a
@@ -161,7 +148,6 @@ type Counters struct {
 	PointFails       int64 // injected transient errors returned
 	FFDeclines       int64 // validated fast-forward jumps forcibly declined
 	ShardStalls      int64 // shard epoch delays injected
-	SpecConflicts    int64 // speculative-burst validations forced to fail (per worker per burst)
 	StepCancels      int64 // engine halts caused by an armed step budget
 	RequestPanics    int64 // injected mid-request handler panics
 	CacheCorruptions int64 // cache entries corrupted after insertion
@@ -173,7 +159,6 @@ var counters struct {
 	pointFails       atomic.Int64
 	ffDeclines       atomic.Int64
 	shardStalls      atomic.Int64
-	specConflicts    atomic.Int64
 	stepCancels      atomic.Int64
 	requestPanics    atomic.Int64
 	cacheCorruptions atomic.Int64
@@ -187,7 +172,6 @@ func Stats() Counters {
 		PointFails:       counters.pointFails.Load(),
 		FFDeclines:       counters.ffDeclines.Load(),
 		ShardStalls:      counters.shardStalls.Load(),
-		SpecConflicts:    counters.specConflicts.Load(),
 		StepCancels:      counters.stepCancels.Load(),
 		RequestPanics:    counters.requestPanics.Load(),
 		CacheCorruptions: counters.cacheCorruptions.Load(),
@@ -201,7 +185,6 @@ func ResetStats() {
 	counters.pointFails.Store(0)
 	counters.ffDeclines.Store(0)
 	counters.shardStalls.Store(0)
-	counters.specConflicts.Store(0)
 	counters.stepCancels.Store(0)
 	counters.requestPanics.Store(0)
 	counters.cacheCorruptions.Store(0)

@@ -20,9 +20,6 @@ func FFDecline() bool { return false }
 // ShardStall injects nothing in a production build.
 func ShardStall(shard int, epoch int64) {}
 
-// SpecConflict injects nothing in a production build.
-func SpecConflict(burst int64) bool { return false }
-
 // RequestFault injects nothing in a production build.
 func RequestFault(ordinal int) {}
 

@@ -77,23 +77,6 @@ func ShardStall(shard int, epoch int64) {
 	time.Sleep(p.StallFor)
 }
 
-// SpecConflict is the speculative burst validator's hook: true forces the
-// burst with this ordinal (commits + rollbacks so far) to fail validation
-// and roll back. The verdict is a pure function of (plan, ordinal), so
-// every worker — and every worker count — sees the same injected
-// conflicts, preserving determinism under a rollback storm.
-func SpecConflict(burst int64) bool {
-	p := armed.Load()
-	if p == nil || p.SpecConflictEvery <= 0 || burst < p.SpecConflictFrom {
-		return false
-	}
-	if (burst-p.SpecConflictFrom)%p.SpecConflictEvery != 0 {
-		return false
-	}
-	counters.specConflicts.Add(1)
-	return true
-}
-
 // RequestFault is the service handler's per-request hook: it panics
 // mid-request for the listed 1-based request ordinals, exercising the
 // daemon's handler-level recovery (500 response, server keeps serving).

@@ -165,22 +165,6 @@ func (s *System) ForEachCursor(f func(c *sim.Cursor)) {
 	}
 }
 
-// CtlCursors returns controller i's channel cursors. It exists for
-// per-controller checkpointing: the sharded engine partitions controllers
-// across shards, and a speculating shard must snapshot and restore exactly
-// the channels it owns. ForEachCursor already hands out the same mutable
-// cursors; this is the random-access form.
-func (s *System) CtlCursors(i int) (north, south *sim.Cursor) {
-	return &s.ctls[i].north, &s.ctls[i].south
-}
-
-// CtlStatsAt returns controller i's counters by value — the snapshot half
-// of a per-controller checkpoint.
-func (s *System) CtlStatsAt(i int) CtlStats { return s.ctls[i].stats }
-
-// SetCtlStatsAt overwrites controller i's counters — the rollback half.
-func (s *System) SetCtlStatsAt(i int, st CtlStats) { s.ctls[i].stats = st }
-
 // BusyCycles returns the summed channel occupancy across controllers.
 func (s *System) BusyCycles() int64 {
 	var t int64

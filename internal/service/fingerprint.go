@@ -32,12 +32,10 @@ import (
 //     results differ by design.
 //
 // What stays out, and why: the sweep-pool job count, the shard worker
-// count, the request deadline and the speculate flag are execution
-// budget — the engines' results are invariant under all four (pinned by
-// the repo's determinism, shard-invariance and speculative-equivalence
-// tests; speculation commits only bursts that validate as byte-identical
-// to conservative execution), so hashing them would only split the cache
-// and defeat dedup. JSON field order and default-filled
+// count and the request deadline are execution budget — the engines'
+// results are invariant under all three (pinned by the repo's
+// determinism and shard-invariance tests), so hashing them would only
+// split the cache and defeat dedup. JSON field order and default-filled
 // optional fields never reach the hash at all: requests are parsed into
 // a struct and normalized before fingerprinting. All of this is pinned
 // by the property tests in fingerprint_test.go.

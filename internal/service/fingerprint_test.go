@@ -81,30 +81,6 @@ func TestFingerprintExecutionBudgetExcluded(t *testing.T) {
 	}
 }
 
-// TestFingerprintSpeculateExcluded: speculation is execution budget — the
-// engine commits only bursts that validate as byte-identical to
-// conservative execution — so two requests differing only in the
-// speculate flag (at any worker count) must share a fingerprint: a
-// speculative request may be served a conservative run's cached result
-// and vice versa. A speculative request without shards is a validation
-// error, mirroring the CLI gate.
-func TestFingerprintSpeculateExcluded(t *testing.T) {
-	conservative := resolveBody(t, `{"figure":"fig4","shards":2}`).Key
-	for _, b := range []string{
-		`{"figure":"fig4","shards":2,"speculate":true}`,
-		`{"figure":"fig4","shards":4,"speculate":true}`,
-		`{"figure":"fig4","shards":-1,"speculate":true,"jobs":2}`,
-	} {
-		if got := resolveBody(t, b).Key; got != conservative {
-			t.Errorf("speculate flag leaked into fingerprint: %s -> %s, base %s", b, got, conservative)
-		}
-	}
-
-	if _, err := Resolve(SweepRequest{Figure: "fig4", Speculate: true}, nil, 4, time.Minute); err == nil {
-		t.Error("speculate without shards resolved; want a validation error")
-	}
-}
-
 // TestFingerprintDistinguishesResultAxes: anything that changes what is
 // simulated — figure, grid scale, machine profile, a placement axis value,
 // a relaxed epoch width — must change the key.

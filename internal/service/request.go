@@ -28,10 +28,9 @@ import (
 // experiment to run, on which machine profile, and with what execution
 // budget. Only the result-relevant fields (figure, scale, machine, the
 // engine kind implied by shards, a relaxed epoch width) enter the cache
-// fingerprint; jobs, the shard worker count, the timeout and the
-// speculate flag are execution budget and never change a result byte, so
-// they are deliberately excluded (pinned by the fingerprint property
-// tests).
+// fingerprint; jobs, the shard worker count and the timeout are execution
+// budget and never change a result byte, so they are deliberately
+// excluded (pinned by the fingerprint property tests).
 type SweepRequest struct {
 	// Figure names an experiment in the figure registry: fig2, fig4, fig5,
 	// fig6, fig7 or scaling. Required.
@@ -57,13 +56,6 @@ type SweepRequest struct {
 	// -relaxed-ok.
 	EpochWidth int64 `json:"epoch_width,omitempty"`
 	RelaxedOK  bool  `json:"relaxed_ok,omitempty"`
-	// Speculate runs the sharded engine's optimistic speculative bursts.
-	// Requires Shards. Execution-only: results are byte-identical with
-	// speculation on or off (the engine's speculation contract), so like
-	// Jobs and the worker count it never enters the cache fingerprint — a
-	// speculative request may be served a conservative run's cached result
-	// and vice versa.
-	Speculate bool `json:"speculate,omitempty"`
 	// TimeoutMS bounds the request's execution in wall-clock milliseconds;
 	// 0 accepts the server's ceiling. Execution-only.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -164,10 +156,6 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 		}
 	}
 	o.EpochWidth = req.EpochWidth
-	if req.Speculate && req.Shards == 0 {
-		return nil, fmt.Errorf("service: speculate only applies to the sharded engine; set shards too")
-	}
-	o.Speculate = req.Speculate
 
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)

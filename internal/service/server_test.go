@@ -451,6 +451,9 @@ func TestValidationErrors(t *testing.T) {
 		{"epoch width without shards", `{"figure":"fig2","epoch_width":4096}`, http.StatusBadRequest},
 		{"too narrow epoch width", `{"figure":"fig2","shards":2,"epoch_width":1}`, http.StatusBadRequest},
 		{"relaxed width without opt-in", `{"figure":"fig2","shards":2,"epoch_width":1000000000}`, http.StatusBadRequest},
+		// A field the server no longer knows, such as speculate from an
+		// older client, is refused instead of being silently ignored.
+		{"removed speculate field", `{"figure":"fig2","shards":2,"speculate":true}`, http.StatusBadRequest},
 		{"negative timeout", `{"figure":"fig2","timeout_ms":-5}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
