@@ -128,57 +128,6 @@ func TestCompareToleratesOneSidedBenchmarks(t *testing.T) {
 	}
 }
 
-// TestCompareEpochWidthInformational pins the epoch-width contract: a
-// changed width between trajectories (relaxed run, or a derivation
-// change) is reported as an informational line but never fails the gate,
-// while an unchanged width stays silent.
-func TestCompareEpochWidthInformational(t *testing.T) {
-	base := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3})
-	fresh := bm(map[string]float64{"accesses/s": 100, "epoch-width": 12})
-	var sb strings.Builder
-	if compare(base, fresh, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("epoch-width change failed the gate:\n%s", sb.String())
-	}
-	out := sb.String()
-	if !strings.Contains(out, "epoch-width") || !strings.Contains(out, "never gated") {
-		t.Errorf("report missing the informational epoch-width line:\n%s", out)
-	}
-
-	same := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3})
-	sb.Reset()
-	if compare(base, same, 0.20, 0.02, 5, &sb) {
-		t.Fatalf("identical epoch-width failed the gate:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "epoch-width") {
-		t.Errorf("unchanged epoch-width produced a report line:\n%s", sb.String())
-	}
-}
-
-// TestDeltaTableShowsInformationalDimmed is the regression for the delta
-// table silently dropping informational metrics: on a gated failure the
-// table must carry the informational metrics as dimmed (ANSI faint) rows
-// next to the gated columns.
-func TestDeltaTableShowsInformationalDimmed(t *testing.T) {
-	base := bm(map[string]float64{"accesses/s": 100, "epoch-width": 3})
-	fresh := bm(map[string]float64{"accesses/s": 50, "epoch-width": 3})
-	var sb strings.Builder
-	if !compare(base, fresh, 0.20, 0.02, 5, &sb) {
-		t.Fatal("50% throughput drop passed the gate")
-	}
-	out := sb.String()
-	tableAt := strings.Index(out, "delta table")
-	if tableAt < 0 {
-		t.Fatalf("no delta table in failure output:\n%s", out)
-	}
-	table := out[tableAt:]
-	if !strings.Contains(table, "epoch-width") {
-		t.Errorf("delta table dropped informational metric epoch-width:\n%s", table)
-	}
-	if !strings.Contains(table, "\x1b[2m") || !strings.Contains(table, "\x1b[0m") {
-		t.Errorf("informational rows in the delta table are not dimmed:\n%q", table)
-	}
-}
-
 // TestCompareAllocNoiseTolerated pins the alloc-slack behaviour: sub-2%
 // wobble passes, multiplicative growth fails.
 func TestCompareAllocNoiseTolerated(t *testing.T) {

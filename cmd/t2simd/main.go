@@ -26,8 +26,10 @@
 //
 // Endpoints: POST /v1/sweep (body: service.SweepRequest JSON; response:
 // the canonical trajectory), GET /healthz, GET /readyz, GET /metrics.
-// A request with a field the server does not know, such as the retired
-// "speculate", is rejected with 400 rather than silently ignored.
+// Every sweep runs on the sequential engine. A request with a field the
+// server does not know, such as the retired "speculate", "shards",
+// "epoch_width" or "relaxed_ok", is rejected with 400 rather than silently
+// ignored.
 // HTTP statuses: 200 served, 400 validation, 429 queue full (Retry-After),
 // 499 client closed request, 503 saturated or draining (Retry-After),
 // 504 deadline exceeded, 500 internal.

@@ -84,10 +84,10 @@ type wpub struct {
 // waitFor spins until this record publishes epoch e or an abort is
 // observed, reporting false on abort: a short pure-load spin, then abort
 // polls and scheduler yields so GOMAXPROCS=1 still makes progress.
-func (p *wpub) waitFor(e int64, abort *atomic.Int32) bool {
+func (p *wpub) waitFor(e int64, abort *atomic.Bool) bool {
 	for i := 0; p.seq.Load() < e; i++ {
 		if i > 128 {
-			if abort.Load() != abortNone {
+			if abort.Load() {
 				return false
 			}
 			runtime.Gosched()
@@ -145,7 +145,7 @@ func (a *epochAgg) fold(s *wslot) {
 // runBatched drives the batched epoch loop. Shards are partitioned
 // statically (shard i belongs to worker i%workers), worker 0 runs on the
 // calling goroutine (so the deadlock panic propagates to the caller), and
-// a watchdog abort abandons the wait for wedged workers.
+// the call returns once every worker has exited.
 func (ps *parState) runBatched(workers int) {
 	if workers <= 1 {
 		ps.batchedLoop(0, 1, nil)
@@ -164,14 +164,6 @@ func (ps *parState) runBatched(workers int) {
 		}(w)
 	}
 	ps.batchedLoop(0, workers, pubs)
-	if ps.abort.Load() == abortWatchdog {
-		// A watchdog trip means at least one worker is wedged mid-epoch and
-		// may block forever; waiting for it would reintroduce the hang the
-		// watchdog exists to break, so the caller abandons the run state
-		// (RunShardedCtx drops the parState) and each worker exits at its
-		// next abort poll.
-		return
-	}
 	wg.Wait()
 }
 
@@ -194,7 +186,7 @@ func (ps *parState) batchedLoop(w, workers int, pubs []wpub) {
 	end := ps.shards[0].epochEnd // == ps.w at entry; thereafter worker-local
 	var micro int64
 	for e := int64(0); ; e++ {
-		if ps.abort.Load() != abortNone {
+		if ps.abort.Load() {
 			break
 		}
 		var a epochAgg
@@ -230,9 +222,6 @@ func (ps *parState) batchedLoop(w, workers int, pubs []wpub) {
 			}
 		}
 		micro++
-		if w == 0 {
-			ps.progress.Store(micro) // watchdog heartbeat
-		}
 
 		// The global boundary decision, identical on every worker. anyWake
 		// stands in for the wakes applied below: a wake blocks termination

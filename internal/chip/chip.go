@@ -126,7 +126,7 @@ type Result struct {
 	// invariant under the worker count, which never appears here because it
 	// is an execution detail that must not change a single result byte.
 	Shards          int64   // controller domains the run was partitioned into
-	EpochWidth      int64   // epoch width in cycles (conservative bound, or the relaxed override)
+	EpochWidth      int64   // epoch width in cycles (the conservative bound)
 	Epochs          int64   // bookkeeping rounds of the batched epoch loop
 	BatchedEpochs   int64   // micro-epochs executed
 	BarrierStalls   int64   // (shard, micro-epoch) pairs where a shard had no event to run

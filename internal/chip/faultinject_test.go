@@ -7,7 +7,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 )
@@ -44,39 +43,6 @@ func TestInjectedFFDeclineIsInvisible(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripFF(declined), stripFF(committed)) {
 		t.Errorf("declined jumps changed the result vs committed jumps:\n declined:  %+v\n committed: %+v", declined, committed)
-	}
-}
-
-// TestInjectedShardStallTripsWatchdog delays one shard deterministically
-// (plan-driven, once) so the barrier watchdog trips with diagnostics, then
-// proves the very next run on the same machine — the stall plan spent —
-// succeeds and matches a fresh machine. This is the "wedged shard →
-// watchdog trip" recovery proof in its injectable form.
-func TestInjectedShardStallTripsWatchdog(t *testing.T) {
-	faults.Arm(&faults.Plan{Seed: 2, StallShard: 1, StallEpoch: 5, StallFor: 400 * time.Millisecond, StallOnce: true})
-	defer faults.Disarm()
-
-	cfg := t2cfg()
-	m := New(cfg)
-	_, err := m.RunShardedCtx(context.Background(), marchingProg(8, 4000), ShardOptions{Workers: 2, Watchdog: 30 * time.Millisecond})
-	var we *WatchdogError
-	if !errors.As(err, &we) {
-		t.Fatalf("stalled shard returned %v, want *WatchdogError", err)
-	}
-	if st := faults.Stats(); st.ShardStalls != 1 {
-		t.Fatalf("ShardStalls = %d, want exactly 1 (StallOnce)", st.ShardStalls)
-	}
-	if len(we.Shards) != 4 {
-		t.Fatalf("diagnostics cover %d shards, want 4", len(we.Shards))
-	}
-
-	got, err := m.RunShardedCtx(context.Background(), marchingProg(8, 40), ShardOptions{Workers: 2, Watchdog: 30 * time.Second})
-	if err != nil {
-		t.Fatalf("retry after the one-shot stall failed: %v", err)
-	}
-	want := New(cfg).RunSharded(marchingProg(8, 40), 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("retry after watchdog trip diverged from a fresh machine:\n got:  %+v\n want: %+v", got, want)
 	}
 }
 

@@ -31,8 +31,8 @@
 // of the program and the machine — the worker count that executes the
 // shards changes wall-clock time and nothing else. That is the engine's
 // byte-identity invariant: shards=1 and shards=N produce identical
-// Results, stats maps and BENCH trajectories, pinned by equivalence tests
-// across every machine profile and by the -race short tier.
+// Results, pinned by TestShardedWorkerInvariance across four topologies
+// and by the -race short tier.
 //
 // # Relation to the sequential engine
 //
@@ -57,13 +57,13 @@
 //
 // All three deviations are deterministic and shard-count-invariant; they
 // make the sharded engine's cycle counts differ slightly from the
-// sequential engine's. Sequential execution therefore remains the default
-// everywhere (committed BENCH trajectories are produced by it), and the
-// sharded engine is selected explicitly per run. Steady-state fast-forward
-// (forward.go) fingerprints global state and is disabled under sharding at
-// every worker count — the engine targets exactly the workloads whose
-// contended microstate never recurs (Jacobi, LBM, 64-thread streams),
-// which fast-forward provably cannot help.
+// sequential engine's. Every CLI, sweep and daemon request therefore runs
+// the sequential engine; this one is reached only through RunSharded and
+// RunShardedCtx. Steady-state fast-forward (forward.go) fingerprints
+// global state and is disabled under sharding at every worker count — the
+// engine targets exactly the workloads whose contended microstate never
+// recurs (Jacobi, LBM, 64-thread streams), which fast-forward provably
+// cannot help.
 //
 // # Fallbacks
 //
@@ -86,7 +86,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -202,21 +201,8 @@ type pshard struct {
 	retries      int64
 	finish       sim.Time
 	idleEpochs   int64  // epochs this shard executed no event (barrier stalls)
-	epochsRun    int64  // epochs this shard has executed (watchdog/fault bookkeeping)
 	busyRounds   int64  // batched rounds in which this shard executed at least one event
 	stepsMark    uint64 // eng.Steps() at the last round boundary (busyRounds bookkeeping)
-
-	// diag is the shard's progress snapshot, published (atomically, once
-	// per epoch, only on armed runs) for the watchdog's diagnostics: a
-	// tripped run reports each shard's last known epoch, wheel depth,
-	// undelivered mail and barrier stalls without touching shard-owned
-	// state from another goroutine.
-	diag struct {
-		epoch   atomic.Int64
-		pending atomic.Int64
-		mailbox atomic.Int64
-		stalls  atomic.Int64
-	}
 }
 
 // parState is the sharded engine's run state, cached on the Machine like
@@ -234,30 +220,18 @@ type parState struct {
 
 	runAhead int64
 
-	w      sim.Time // epoch width (conservative bound, or the relaxed override)
+	w      sim.Time // epoch width: the conservative bound epochWidth(cfg)
 	epochs int64    // bookkeeping rounds of batchRound micro-epochs
 	micro  int64    // epochs actually executed
 	done   bool
 
-	// Abort protocol (armed runs only — see RunShardedCtx). abort makes a
-	// single transition away from abortNone, set by the monitor goroutine;
-	// workers poll it at the top of every epoch and while waiting for
-	// another worker's publication, so every non-wedged worker exits
-	// within one epoch. armed additionally enables the per-shard diag publication;
-	// fault-free runs leave it false and pay one predictable atomic load
+	// abort is set once by a cancelled run's context callback (see
+	// RunShardedCtx); workers poll it at the top of every epoch and while
+	// waiting for another worker's publication, so every worker exits
+	// within one epoch. Uncancellable runs pay one predictable atomic load
 	// per worker per epoch.
-	abort    atomic.Int32
-	armed    bool
-	progress atomic.Int64 // executed micro-epoch count, stored by worker 0 each epoch
-	wderr    atomic.Pointer[WatchdogError]
+	abort atomic.Bool
 }
-
-// abort states.
-const (
-	abortNone int32 = iota
-	abortCancel
-	abortWatchdog
-)
 
 // shardable reports whether the mapping's bank->controller relation is a
 // function, i.e. every address of a bank is served by one controller —
@@ -302,8 +276,7 @@ func epochWidth(cfg Config) sim.Time {
 
 // EpochWidth reports the conservative epoch width this machine's sharded
 // engine derives from its configuration: the minimum latency by which any
-// cross-shard effect trails the event that sends it. ShardOptions.EpochWidth
-// values below this bound are rejected; values above it run relaxed.
+// cross-shard effect trails the event that sends it.
 func (m *Machine) EpochWidth() sim.Time {
 	return epochWidth(m.cfg)
 }
@@ -337,7 +310,8 @@ func (m *Machine) RunSharded(prog *trace.Program, workers int) Result {
 	res, err := m.RunShardedCtx(context.Background(), prog, ShardOptions{Workers: workers})
 	if err != nil {
 		// Only reachable under fault injection: a background context never
-		// cancels and no watchdog is armed here.
+		// cancels, but the sequential fallback honours an injected step
+		// budget.
 		panic(fmt.Sprintf("chip: uncancellable RunSharded aborted: %v", err))
 	}
 	return res
@@ -345,16 +319,10 @@ func (m *Machine) RunSharded(prog *trace.Program, workers int) Result {
 
 // RunShardedCtx is RunSharded with a resilience envelope: the run aborts
 // cleanly when ctx is cancelled (returning the partial Result and a
-// *CancelError), an explicit worker request above the controller-domain
+// *CancelError), and an explicit worker request above the controller-domain
 // count is rejected up front with ErrShardOversubscribed instead of being
-// silently capped, and a positive opt.Watchdog arms the epoch-barrier
-// watchdog — if no shard completes an epoch for that long, the run fails
-// with a *WatchdogError carrying per-shard diagnostics instead of spinning
-// at the barrier forever. After a watchdog trip the machine's sharded run
-// state is discarded (the wedged goroutine may still hold it), so the
-// machine stays reusable; the wedged goroutine itself exits the moment it
-// wakes and observes the abort. Runs the engine cannot decompose fall back
-// to the sequential engine under the same context.
+// silently capped. Runs the engine cannot decompose fall back to the
+// sequential engine under the same context.
 func (m *Machine) RunShardedCtx(ctx context.Context, prog *trace.Program, opt ShardOptions) (Result, error) {
 	if d := m.cfg.Mapping.Controllers(); opt.Workers > d {
 		return Result{}, fmt.Errorf("%w: %d workers requested, %d controller domains (machine %dc%dt)",
@@ -362,20 +330,14 @@ func (m *Machine) RunShardedCtx(ctx context.Context, prog *trace.Program, opt Sh
 	}
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: refuse deterministically instead of racing the
-		// monitor goroutine's first scheduling slice against a short run.
+		// cancellation callback against a short run.
 		return Result{}, &CancelError{Cause: context.Cause(ctx)}
-	}
-	if opt.EpochWidth != 0 {
-		if w := epochWidth(m.cfg); opt.EpochWidth < w {
-			return Result{}, fmt.Errorf("%w: requested width %d, conservative bound %d",
-				ErrEpochWidthTooNarrow, opt.EpochWidth, w)
-		}
 	}
 	if !m.Shardable(prog) {
 		return m.RunCtx(ctx, prog)
 	}
 	m.validateTeam(prog)
-	ps := m.preparePar(prog, opt)
+	ps := m.preparePar(prog)
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -383,37 +345,31 @@ func (m *Machine) RunShardedCtx(ctx context.Context, prog *trace.Program, opt Sh
 	if workers > len(ps.shards) {
 		workers = len(ps.shards)
 	}
-	ps.armed = ctx.Done() != nil || opt.Watchdog > 0
-	var firedAt atomic.Int64
-	var quit chan struct{}
-	if ps.armed {
-		quit = make(chan struct{})
-		go ps.monitor(ctx, opt.Watchdog, quit, &firedAt)
+	var firedAt time.Time
+	var stop func() bool
+	var fired chan struct{}
+	if ctx.Done() != nil {
+		fired = make(chan struct{})
+		stop = context.AfterFunc(ctx, func() {
+			firedAt = time.Now()
+			ps.abort.Store(true)
+			close(fired)
+		})
 	}
 	ps.runBatched(workers)
-	if quit != nil {
-		close(quit) // a no-op for the monitor if it already aborted and exited
+	if stop != nil && !stop() {
+		<-fired // the callback started: let it finish before ps is reused
 	}
-	switch ps.abort.Load() {
-	case abortWatchdog:
-		// The wedged worker may wake later and touch this state; abandon it
-		// rather than reuse it. No partial Result: unlike a cancel, nothing
-		// waited for the workers, so their state may still be in motion.
-		m.pps = nil
-		return Result{}, ps.wderr.Load()
-	case abortCancel:
-		res := ps.collect(m.cfg, prog)
-		var lat time.Duration
-		if at := firedAt.Load(); at != 0 {
-			lat = time.Since(time.Unix(0, at))
-		}
-		return res, &CancelError{Cause: context.Cause(ctx), Latency: lat}
+	res := ps.collect(m.cfg, prog)
+	if !ps.done {
+		// Only the callback aborts a run, and it has finished by now.
+		return res, &CancelError{Cause: context.Cause(ctx), Latency: time.Since(firedAt)}
 	}
-	return ps.collect(m.cfg, prog), nil
+	return res, nil
 }
 
 // preparePar builds or resets the sharded run state and seeds the strands.
-func (m *Machine) preparePar(prog *trace.Program, opt ShardOptions) *parState {
+func (m *Machine) preparePar(prog *trace.Program) *parState {
 	n := len(prog.Gens)
 	ps := m.pps
 	if ps == nil {
@@ -468,12 +424,6 @@ func (m *Machine) preparePar(prog *trace.Program, opt ShardOptions) *parState {
 			sh.finish, sh.idleEpochs = 0, 0
 		}
 	}
-	// The relaxed width override is a run option, so a cached parState
-	// re-derives the epoch width each run.
-	ps.w = epochWidth(m.cfg)
-	if opt.EpochWidth != 0 {
-		ps.w = opt.EpochWidth
-	}
 	for _, sh := range ps.shards {
 		sh.gen = 0
 		sh.epochEnd = ps.w
@@ -485,17 +435,7 @@ func (m *Machine) preparePar(prog *trace.Program, opt ShardOptions) *parState {
 	ps.epochs = 0
 	ps.micro = 0
 	ps.done = false
-	ps.abort.Store(abortNone)
-	ps.armed = false
-	ps.progress.Store(0)
-	ps.wderr.Store(nil)
-	for _, sh := range ps.shards {
-		sh.epochsRun = 0
-		sh.diag.epoch.Store(0)
-		sh.diag.pending.Store(0)
-		sh.diag.mailbox.Store(0)
-		sh.diag.stalls.Store(0)
-	}
+	ps.abort.Store(false)
 
 	m.warmL2(ps.l2, prog.WarmLines)
 
@@ -597,80 +537,11 @@ func (ps *parState) collect(cfg Config, prog *trace.Program) Result {
 
 // runEpoch advances this shard's wheel to the end of the current epoch.
 func (sh *pshard) runEpoch() {
-	faults.ShardStall(int(sh.id), sh.epochsRun) // no-op unless injecting
 	steps := sh.eng.Steps()
 	sh.eng.RunUntil(sh.epochEnd - 1)
 	if sh.eng.Steps() == steps {
 		sh.idleEpochs++
 	}
-	sh.epochsRun++
-	if sh.ps.armed {
-		sh.diag.epoch.Store(sh.epochsRun)
-		sh.diag.pending.Store(int64(sh.eng.Pending()))
-		sh.diag.mailbox.Store(int64(sh.outCount[sh.gen]))
-		sh.diag.stalls.Store(sh.idleEpochs)
-	}
-}
-
-// monitor is an armed run's supervisor goroutine: it aborts the epoch loop
-// when ctx is cancelled (recording the observation time for the
-// cancel-latency telemetry) and, with wd > 0, trips the watchdog when the
-// executed epoch count stops advancing for a full deadline — publishing the
-// per-shard diagnostics first, so the abort's observer reads a complete
-// WatchdogError.
-func (ps *parState) monitor(ctx context.Context, wd time.Duration, quit <-chan struct{}, firedAt *atomic.Int64) {
-	var tc <-chan time.Time
-	if wd > 0 {
-		tick := wd / 4
-		if tick > 100*time.Millisecond {
-			tick = 100 * time.Millisecond
-		}
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		tc = t.C
-	}
-	last := ps.progress.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-quit:
-			return
-		case <-ctx.Done():
-			firedAt.Store(time.Now().UnixNano())
-			ps.abort.CompareAndSwap(abortNone, abortCancel)
-			return
-		case <-tc:
-			cur := ps.progress.Load()
-			if cur != last {
-				last, lastChange = cur, time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= wd {
-				ps.wderr.Store(ps.watchdogError(wd))
-				ps.abort.CompareAndSwap(abortNone, abortWatchdog)
-				return
-			}
-		}
-	}
-}
-
-// watchdogError assembles the trip report from the shards' published
-// progress snapshots.
-func (ps *parState) watchdogError(wd time.Duration) *WatchdogError {
-	e := &WatchdogError{Deadline: wd, Epochs: ps.progress.Load()}
-	for _, sh := range ps.shards {
-		e.Shards = append(e.Shards, ShardDiag{
-			Shard:         int(sh.id),
-			Epoch:         sh.diag.epoch.Load(),
-			Pending:       int(sh.diag.pending.Load()),
-			Mailbox:       int(sh.diag.mailbox.Load()),
-			BarrierStalls: sh.diag.stalls.Load(),
-		})
-	}
-	return e
 }
 
 // deliver drains this shard's incoming mailboxes of the previous

@@ -1,8 +1,6 @@
 package chip
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -70,51 +68,6 @@ func TestShardedWorkerInvariance(t *testing.T) {
 				t.Fatalf("fresh machine diverged from reused machine:\n got  %+v\n want %+v", fresh, ref)
 			}
 		})
-	}
-}
-
-// TestShardedEpochWidthValidation pins the relaxed-width contract: widths
-// below the conservative bound are rejected up front, the bound itself is
-// accepted and behaves exactly like the default, and wider epochs stay
-// deterministic and worker-invariant even though their results differ.
-func TestShardedEpochWidthValidation(t *testing.T) {
-	cfg := t2cfg()
-	m := New(cfg)
-	w := m.EpochWidth()
-	if w < 2 {
-		t.Fatalf("EpochWidth() = %d; test needs a bound above 1", w)
-	}
-	_, err := m.RunShardedCtx(context.Background(), marchingProg(8, 40),
-		ShardOptions{Workers: 2, EpochWidth: w - 1})
-	if !errors.Is(err, ErrEpochWidthTooNarrow) {
-		t.Fatalf("width %d: err = %v, want ErrEpochWidthTooNarrow", w-1, err)
-	}
-	run := func(width int64, workers int) Result {
-		r, err := m.RunShardedCtx(context.Background(), marchingProg(8, 40),
-			ShardOptions{Workers: workers, EpochWidth: width})
-		if err != nil {
-			t.Fatalf("width %d workers %d: %v", width, workers, err)
-		}
-		return r
-	}
-	def := run(0, 2)
-	atBound := run(w, 2)
-	if !reflect.DeepEqual(def, atBound) {
-		t.Errorf("explicit width %d diverged from the default:\n got  %+v\n want %+v", w, atBound, def)
-	}
-	wide := run(2*w, 1)
-	if wide.EpochWidth != 2*w {
-		t.Errorf("EpochWidth = %d, want %d", wide.EpochWidth, 2*w)
-	}
-	for _, workers := range []int{2, 4} {
-		if got := run(2*w, workers); !reflect.DeepEqual(got, wide) {
-			t.Errorf("relaxed width %d not worker-invariant at workers=%d:\n got  %+v\n want %+v", 2*w, workers, got, wide)
-		}
-	}
-	// The width is a per-run option: a cached machine must return to the
-	// conservative default when the override is dropped.
-	if again := run(0, 2); !reflect.DeepEqual(again, def) {
-		t.Errorf("default run after a relaxed run diverged:\n got  %+v\n want %+v", again, def)
 	}
 }
 

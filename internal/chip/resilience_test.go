@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/phys"
 	"repro/internal/trace"
@@ -22,23 +21,6 @@ type signalGen struct {
 
 func (g *signalGen) Next(it *trace.Item) bool {
 	g.once.Do(func() { close(g.started) })
-	return g.marching.Next(it)
-}
-
-// wedgeGen simulates a wedged shard: after a few items its Next blocks for
-// dur of wall-clock time, stalling the epoch barrier for every shard.
-type wedgeGen struct {
-	marching
-	after int
-	dur   time.Duration
-	slept bool
-}
-
-func (g *wedgeGen) Next(it *trace.Item) bool {
-	if !g.slept && g.pos >= g.after {
-		g.slept = true
-		time.Sleep(g.dur)
-	}
 	return g.marching.Next(it)
 }
 
@@ -140,14 +122,14 @@ func TestRunShardedCtxCancelMidRun(t *testing.T) {
 }
 
 // TestRunShardedCtxArmedStaysByteIdentical: arming the resilience envelope
-// (cancelable context + watchdog) on a healthy run must not change one
-// result byte relative to the bare engine.
+// (a cancelable context) on a healthy run must not change one result byte
+// relative to the bare engine.
 func TestRunShardedCtxArmedStaysByteIdentical(t *testing.T) {
 	cfg := t2cfg()
 	want := New(cfg).RunSharded(marchingProg(16, 120), 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := New(cfg).RunShardedCtx(ctx, marchingProg(16, 120), ShardOptions{Workers: 2, Watchdog: time.Minute})
+	got, err := New(cfg).RunShardedCtx(ctx, marchingProg(16, 120), ShardOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("armed healthy run failed: %v", err)
 	}
@@ -169,37 +151,5 @@ func TestRunShardedCtxOversubscribed(t *testing.T) {
 	r := New(cfg).RunSharded(marchingProg(8, 40), 64)
 	if r.Shards != 4 {
 		t.Fatalf("legacy RunSharded with workers=64 reported Shards=%d, want 4", r.Shards)
-	}
-}
-
-// TestWatchdogTripOnWedgedShard wedges one shard's generator mid-epoch and
-// asserts the barrier watchdog converts the former infinite spin into a
-// WatchdogError with per-shard diagnostics, leaving the machine reusable.
-func TestWatchdogTripOnWedgedShard(t *testing.T) {
-	cfg := t2cfg()
-	const threads, items = 8, 4000
-	gens := make([]trace.Generator, threads)
-	gens[0] = &wedgeGen{marching: marching{n: items}, after: 50, dur: 500 * time.Millisecond}
-	for i := 1; i < threads; i++ {
-		gens[i] = &marching{n: items, addr: phys.Addr(i) << 24}
-	}
-	p := prog(gens...)
-	p.WarmLines = 2048
-	m := New(cfg)
-	_, err := m.RunShardedCtx(context.Background(), p, ShardOptions{Workers: 2, Watchdog: 30 * time.Millisecond})
-	var we *WatchdogError
-	if !errors.As(err, &we) {
-		t.Fatalf("wedged shard returned %v, want *WatchdogError", err)
-	}
-	if len(we.Shards) != 4 {
-		t.Fatalf("watchdog diagnostics cover %d shards, want 4:\n%v", len(we.Shards), we)
-	}
-	if m.pps != nil {
-		t.Fatal("watchdog trip left the (possibly still referenced) sharded run state cached")
-	}
-	got := m.RunSharded(marchingProg(8, 40), 2)
-	want := New(cfg).RunSharded(marchingProg(8, 40), 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("machine unusable after watchdog trip:\n got:  %+v\n want: %+v", got, want)
 	}
 }

@@ -2,14 +2,11 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/chip"
 	"repro/internal/exp"
-	"repro/internal/machine"
 )
 
 // resolveBody parses a raw JSON request body (so field order and explicit
@@ -36,9 +33,9 @@ func TestFingerprintFieldOrderAndDefaultsInvariant(t *testing.T) {
 		`{"figure":"fig2"}`,
 		`{"scale":"full","figure":"fig2"}`,
 		`{"machine":"t2","figure":"fig2"}`,
-		`{"figure":"fig2","scale":"full","machine":"t2","jobs":0,"shards":0,"epoch_width":0,"relaxed_ok":false,"timeout_ms":0}`,
-		`{"timeout_ms":0,"relaxed_ok":false,"epoch_width":0,"shards":0,"jobs":0,"machine":"t2","scale":"full","figure":"fig2"}`,
-		`{"jobs":0,"figure":"fig2","timeout_ms":0,"machine":"t2","shards":0,"scale":"full"}`,
+		`{"figure":"fig2","scale":"full","machine":"t2","jobs":0,"timeout_ms":0}`,
+		`{"timeout_ms":0,"jobs":0,"machine":"t2","scale":"full","figure":"fig2"}`,
+		`{"jobs":0,"figure":"fig2","timeout_ms":0,"machine":"t2","scale":"full"}`,
 	}
 	want := resolveBody(t, bodies[0]).Key
 	for _, b := range bodies[1:] {
@@ -48,9 +45,8 @@ func TestFingerprintFieldOrderAndDefaultsInvariant(t *testing.T) {
 	}
 }
 
-// TestFingerprintExecutionBudgetExcluded: jobs, the shard worker count and
-// the timeout never change a result byte, so they must not split the
-// cache. The engine *kind* (seq vs sharded) is result-relevant and must.
+// TestFingerprintExecutionBudgetExcluded: jobs and the timeout never
+// change a result byte, so they must not split the cache.
 func TestFingerprintExecutionBudgetExcluded(t *testing.T) {
 	seq := resolveBody(t, `{"figure":"fig4"}`).Key
 	for _, b := range []string{
@@ -63,27 +59,11 @@ func TestFingerprintExecutionBudgetExcluded(t *testing.T) {
 			t.Errorf("execution budget leaked into fingerprint: %s -> %s, base %s", b, got, seq)
 		}
 	}
-
-	sharded := resolveBody(t, `{"figure":"fig4","shards":1}`).Key
-	for _, b := range []string{
-		`{"figure":"fig4","shards":2}`,
-		`{"figure":"fig4","shards":4}`,
-		`{"figure":"fig4","shards":-1}`,
-		`{"figure":"fig4","shards":1,"jobs":2,"timeout_ms":9000}`,
-	} {
-		if got := resolveBody(t, b).Key; got != sharded {
-			t.Errorf("shard worker count leaked into fingerprint: %s -> %s, base %s", b, got, sharded)
-		}
-	}
-
-	if seq == sharded {
-		t.Errorf("engine kind missing from fingerprint: seq and sharded share key %s", seq)
-	}
 }
 
 // TestFingerprintDistinguishesResultAxes: anything that changes what is
-// simulated — figure, grid scale, machine profile, a placement axis value,
-// a relaxed epoch width — must change the key.
+// simulated — figure, grid scale, machine profile, a placement axis
+// value — must change the key.
 func TestFingerprintDistinguishesResultAxes(t *testing.T) {
 	base := resolveBody(t, `{"figure":"fig2"}`).Key
 	for name, body := range map[string]string{
@@ -123,36 +103,6 @@ func TestFingerprintPlacementDistinct(t *testing.T) {
 	}
 	if plain.Key == seg.Key {
 		t.Errorf("placement axis value missing from fingerprint: both keys %s", plain.Key)
-	}
-}
-
-// TestFingerprintEpochWidthNormalization: explicitly requesting the
-// machine-derived conservative epoch width is the default-filled spelling
-// of leaving it 0 — same results, same key — while a genuinely relaxed
-// width is result-relevant and gets its own key.
-func TestFingerprintEpochWidthNormalization(t *testing.T) {
-	prof, err := machine.Get(machine.DefaultName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived := int64(chip.New(prof.Config).EpochWidth())
-
-	conservative := resolveBody(t, `{"figure":"fig4","shards":2}`)
-	explicit := resolveBody(t, fmt.Sprintf(`{"figure":"fig4","shards":2,"epoch_width":%d}`, derived))
-	if explicit.Key != conservative.Key {
-		t.Errorf("explicit conservative width %d not folded: key %s vs %s", derived, explicit.Key, conservative.Key)
-	}
-	if explicit.Req.EpochWidth != 0 {
-		t.Errorf("normalized request kept epoch_width %d, want 0", explicit.Req.EpochWidth)
-	}
-
-	relaxed := resolveBody(t, fmt.Sprintf(`{"figure":"fig4","shards":2,"epoch_width":%d,"relaxed_ok":true}`, 2*derived))
-	if relaxed.Key == conservative.Key {
-		t.Errorf("relaxed width shares key with conservative run: %s", relaxed.Key)
-	}
-	wider := resolveBody(t, fmt.Sprintf(`{"figure":"fig4","shards":2,"epoch_width":%d,"relaxed_ok":true}`, 4*derived))
-	if wider.Key == relaxed.Key {
-		t.Errorf("distinct relaxed widths share key %s", wider.Key)
 	}
 }
 

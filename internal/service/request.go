@@ -19,18 +19,17 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/chip"
-	"repro/internal/exp"
 	"repro/internal/machine"
 )
 
 // SweepRequest is the wire shape of one sweep submission: which figure
 // experiment to run, on which machine profile, and with what execution
-// budget. Only the result-relevant fields (figure, scale, machine, the
-// engine kind implied by shards, a relaxed epoch width) enter the cache
-// fingerprint; jobs, the shard worker count and the timeout are execution
-// budget and never change a result byte, so they are deliberately
-// excluded (pinned by the fingerprint property tests).
+// budget. Only the result-relevant fields (figure, scale, machine) enter
+// the cache fingerprint; jobs and the timeout are execution budget and
+// never change a result byte, so they are deliberately excluded (pinned by
+// the fingerprint property tests). Every sweep runs on the sequential
+// engine. The server decodes with DisallowUnknownFields, so a request
+// carrying any other key (for example shards) is a 400.
 type SweepRequest struct {
 	// Figure names an experiment in the figure registry: fig2, fig4, fig5,
 	// fig6, fig7 or scaling. Required.
@@ -42,20 +41,6 @@ type SweepRequest struct {
 	// Jobs caps the sweep-pool worker goroutines for this request; 0 or
 	// negative accepts the server's budget. Execution-only.
 	Jobs int `json:"jobs,omitempty"`
-	// Shards selects the engine: 0 (default) runs the sequential engine,
-	// a positive value runs the controller-domain sharded engine with up
-	// to that many workers, -1 is sharded with the full per-run budget.
-	// The engine kind is result-relevant (the sharded engine's epoch
-	// semantics differ slightly from the sequential default); the worker
-	// count is not (sharded results are invariant under it).
-	Shards int `json:"shards,omitempty"`
-	// EpochWidth overrides the sharded engine's epoch width in cycles.
-	// 0 derives the conservative bound. A wider value runs relaxed epochs
-	// whose results differ and, because every response is a JSON
-	// trajectory, requires RelaxedOK — the same gate the CLIs put behind
-	// -relaxed-ok.
-	EpochWidth int64 `json:"epoch_width,omitempty"`
-	RelaxedOK  bool  `json:"relaxed_ok,omitempty"`
 	// TimeoutMS bounds the request's execution in wall-clock milliseconds;
 	// 0 accepts the server's ceiling. Execution-only.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -70,13 +55,13 @@ type Registry func(bench.Options) []bench.Figure
 // and scaled options it runs on, the figure experiment, the canonical
 // fingerprint addressing its result, and the execution budget.
 type Resolved struct {
-	Req     SweepRequest // normalized: defaults filled, width canonicalized
+	Req     SweepRequest // normalized: defaults filled
 	Profile machine.Profile
 	Options bench.Options
 	Figure  bench.Figure
 	// Key is the canonical content address of this sweep's result: a
-	// stable hash over the figure, profile, engine kind, relaxed epoch
-	// width and every normalized grid point. See fingerprint.go.
+	// stable hash over the figure, profile and every normalized grid
+	// point. See fingerprint.go.
 	Key string
 	// Jobs is the resolved sweep-pool worker count; Timeout the resolved
 	// execution deadline. Both are execution budget, absent from Key.
@@ -119,14 +104,6 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 	}
 	o = o.WithProfile(prof)
 
-	// Engine selection mirrors the cmd/figures flag validation: shards
-	// beyond the profile's controller domains is a misconfiguration, and a
-	// relaxed epoch width must be opted into because the response is a
-	// JSON trajectory.
-	if d := prof.Config.Mapping.Controllers(); req.Shards > d {
-		return nil, fmt.Errorf("service: %w: shards %d, machine %s has %d controller domains",
-			chip.ErrShardOversubscribed, req.Shards, prof.Name, d)
-	}
 	if req.Jobs < 0 {
 		req.Jobs = 0
 	}
@@ -136,33 +113,15 @@ func Resolve(req SweepRequest, reg Registry, jobs int, maxTimeout time.Duration)
 	if jobs < 1 {
 		jobs = 1
 	}
-	o.Shards = exp.ShardBudget(req.Shards, jobs)
-	if req.EpochWidth != 0 {
-		if req.Shards == 0 {
-			return nil, fmt.Errorf("service: epoch_width only applies to the sharded engine; set shards too")
-		}
-		derived := int64(chip.New(prof.Config).EpochWidth())
-		if req.EpochWidth < derived {
-			return nil, fmt.Errorf("service: %w: epoch_width %d, machine %s derives %d",
-				chip.ErrEpochWidthTooNarrow, req.EpochWidth, prof.Name, derived)
-		}
-		if req.EpochWidth == derived {
-			// Spelling out the conservative bound is the default-filled
-			// form of leaving it 0: same results, same fingerprint.
-			req.EpochWidth = 0
-		} else if !req.RelaxedOK {
-			return nil, fmt.Errorf("service: epoch_width %d is relaxed (conservative bound %d): refusing a JSON trajectory without relaxed_ok",
-				req.EpochWidth, derived)
-		}
-	}
-	o.EpochWidth = req.EpochWidth
 
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMS)
 	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout <= 0 || timeout > maxTimeout {
-		timeout = maxTimeout
+	// Cap in milliseconds before converting: a huge timeout_ms would
+	// overflow time.Duration's int64 nanoseconds into a tiny deadline.
+	timeout := maxTimeout
+	if req.TimeoutMS > 0 && req.TimeoutMS <= maxTimeout.Milliseconds() {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 
 	var fig *bench.Figure

@@ -204,10 +204,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "validation", "POST a SweepRequest JSON body")
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(r.Body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "validation", fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -245,6 +243,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.serve(w, res.Key, state, b)
 }
 
+// decodeRequest parses one sweep request body: at most 1 MiB, and a key
+// SweepRequest does not define (such as a removed option) is an error.
+func decodeRequest(body io.Reader) (SweepRequest, error) {
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
+	dec.DisallowUnknownFields()
+	var req SweepRequest
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // admitAndRun is the leader's path: pass admission control, then execute
 // the sweep under the request deadline (parented on the server's
 // lifecycle context, so a drain deadline cancels it cooperatively) and
@@ -280,7 +288,6 @@ func (s *Server) admitAndRun(res *Resolved) ([]byte, error) {
 	out, err := runner.RunContext(ctx, res.Figure.Exp)
 	s.m.retries.Add(out.Retries)
 	s.m.pointErrors.Add(out.PointErrors)
-	s.m.watchdogTrips.Add(out.WatchdogTrips)
 	if err != nil {
 		s.m.execErrors.Add(1)
 		if out.Cancelled {

@@ -447,13 +447,13 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown figure", `{"figure":"fig99"}`, http.StatusBadRequest},
 		{"unknown scale", `{"figure":"fig2","scale":"medium"}`, http.StatusBadRequest},
 		{"unknown machine", `{"figure":"fig2","machine":"cray1"}`, http.StatusBadRequest},
-		{"oversubscribed shards", `{"figure":"fig2","shards":999}`, http.StatusBadRequest},
-		{"epoch width without shards", `{"figure":"fig2","epoch_width":4096}`, http.StatusBadRequest},
-		{"too narrow epoch width", `{"figure":"fig2","shards":2,"epoch_width":1}`, http.StatusBadRequest},
-		{"relaxed width without opt-in", `{"figure":"fig2","shards":2,"epoch_width":1000000000}`, http.StatusBadRequest},
-		// A field the server no longer knows, such as speculate from an
-		// older client, is refused instead of being silently ignored.
-		{"removed speculate field", `{"figure":"fig2","shards":2,"speculate":true}`, http.StatusBadRequest},
+		// A field the server no longer knows, such as the sharded-engine
+		// options an older client may send, is refused instead of being
+		// silently ignored.
+		{"removed speculate field", `{"figure":"fig2","speculate":true}`, http.StatusBadRequest},
+		{"removed shards field", `{"figure":"fig2","shards":2}`, http.StatusBadRequest},
+		{"removed epoch_width field", `{"figure":"fig2","epoch_width":3}`, http.StatusBadRequest},
+		{"removed relaxed_ok field", `{"figure":"fig2","relaxed_ok":true}`, http.StatusBadRequest},
 		{"negative timeout", `{"figure":"fig2","timeout_ms":-5}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
